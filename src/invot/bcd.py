@@ -19,20 +19,23 @@ solved by projected gradient steps with step size eps (= 1/L).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
-from .constraints import Constraint, NoConstraint
+from .constraints import Constraint
 from .errors import BadBounds
 from .scaling import InverseProblem, InverseSolution
-from .types import CostMatrix, DualPotentials, SolveReport, as_matrix
+from .sinkhorn import _log_plan, _plan_residual, _Sweep
+from .types import CostMatrix, DualPotentials, SolveReport, as_matrix, relative_error
 
 
-def _lse_all(z) -> float:
+def _log_mass(alpha, beta, cost, eps) -> float:
+    """eps log sum_ij e^{(alpha_i + beta_j - c_ij)/eps}, computed max-shifted."""
+    z = _log_plan(alpha, beta, cost, eps)
     m = float(np.max(z))
-    return m + float(np.log(np.exp(z - m).sum()))
+    return eps * (m + float(np.log(np.exp(z - m).sum())))
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,8 @@ def objective_F(alpha, beta, cost, problem: InverseProblem) -> float:
     pihat = problem.observed.matrix
     mu = problem.observed.row_marginal.values
     nu = problem.observed.col_marginal.values
-    z = (alpha[:, None] + beta[None, :] - c) / eps
-    return float(-alpha @ mu - beta @ nu + (c * pihat).sum() + eps * _lse_all(z))
+    return float(-alpha @ mu - beta @ nu + (c * pihat).sum()
+                 + _log_mass(alpha, beta, c, eps))
 
 
 def _center(vec):
@@ -83,29 +86,23 @@ def _center(vec):
 
 
 def bcd_alpha_update(state: BcdState, problem: InverseProblem) -> BcdState:
-    """Exact alpha-block minimizer of F, then midpoint centering."""
-    eps = problem.config.epsilon
-    mu = problem.observed.row_marginal.values
-    z = (state.beta[None, :] - state.cost) / eps
-    m = np.max(z, axis=1, keepdims=True)
-    lse = np.squeeze(m, axis=1) + np.log(np.exp(z - m).sum(axis=1))
-    alpha = _center(eps * (np.log(mu) - lse))
-    return replace(state, alpha=alpha)
+    """Exact alpha-block minimizer of F (a row half-step), then midpoint centering."""
+    sweep = _Sweep(state.cost, problem.observed.row_marginal.values, None,
+                   problem.config.epsilon, state.alpha, state.beta, axis=1)
+    sweep.scale(1)
+    return replace(state, alpha=_center(sweep.alpha + sweep.eps * np.log(sweep.u)))
 
 
 def bcd_beta_update(state: BcdState, problem: InverseProblem) -> BcdState:
-    """Exact beta-block minimizer of F, then midpoint centering."""
-    eps = problem.config.epsilon
-    nu = problem.observed.col_marginal.values
-    z = (state.alpha[:, None] - state.cost) / eps
-    m = np.max(z, axis=0, keepdims=True)
-    lse = np.squeeze(m, axis=0) + np.log(np.exp(z - m).sum(axis=0))
-    beta = _center(eps * (np.log(nu) - lse))
-    return replace(state, beta=beta)
+    """Exact beta-block minimizer of F (a column half-step), then midpoint centering."""
+    sweep = _Sweep(state.cost, None, problem.observed.col_marginal.values,
+                   problem.config.epsilon, state.alpha, state.beta, axis=0)
+    sweep.scale(0)
+    return replace(state, beta=_center(sweep.beta + sweep.eps * np.log(sweep.v)))
 
 
 def _softmax_plan(alpha, beta, cost, eps):
-    z = (alpha[:, None] + beta[None, :] - cost) / eps
+    z = _log_plan(alpha, beta, cost, eps)
     z = z - np.max(z)
     w = np.exp(z)
     return w / w.sum()
@@ -169,24 +166,28 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, c_init=None,
         state = bcd_c_update(state, problem, inner_steps=inner_steps)
         psi.append(objective_F(state.alpha, state.beta, state.cost, problem))
         if truth_mat is not None:
-            ref = float(np.linalg.norm(truth_mat))
-            err_trace.append(float(np.linalg.norm(state.cost - truth_mat)) / ref)
+            err_trace.append(relative_error(state.cost, truth_mat))
         if state_log is not None and it % problem.config.log_every == 0:
             state_log.append(replace(state, psi_trace=tuple(psi)))
         if float(np.linalg.norm(state.cost - c_prev)) <= problem.config.tol:
             converged = True
             break
     state = replace(state, psi_trace=tuple(psi))
+    # F is invariant under alpha + t; return the representative whose
+    # e^{(alpha + beta - c)/eps} is the model plan, of total mass 1
+    alpha = state.alpha - _log_mass(state.alpha, state.beta, state.cost, eps)
     report = SolveReport(
         iterations=it,
         objective_trace=np.asarray(psi),
         rel_err_trace=np.asarray(err_trace) if truth_mat is not None else None,
-        feasibility_residual=float("nan"),
+        feasibility_residual=_plan_residual(
+            alpha, state.beta, state.cost, problem.observed.row_marginal.values,
+            problem.observed.col_marginal.values, eps),
         converged=converged,
         wall_clock_seconds=time.perf_counter() - t0,
         extras={"M_c": M_c, "M_alpha": M_alpha, "M_beta": M_beta},
     )
-    duals = DualPotentials(alpha=state.alpha, beta=state.beta, epsilon=eps)
+    duals = DualPotentials(alpha=alpha, beta=state.beta, epsilon=eps)
     return InverseSolution(cost=CostMatrix(state.cost), duals=duals,
                            affinity=None, report=report)
 

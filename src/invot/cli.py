@@ -62,7 +62,7 @@ def _outdir(path) -> Path:
     return out
 
 
-def _parse_constraints(specs, base_dir=None):
+def _parse_constraints(specs):
     parts = []
     for spec in specs or []:
         if spec == "sym0":
@@ -107,45 +107,33 @@ def cmd_forward(args) -> int:
     try:
         result = sinkhorn_solve(cost, mu, nu, config, mode=args.mode)
     except NotConverged as exc:
-        result = exc.result
-        write_matrix_csv(out / "plan.csv", result.plan.matrix)
-        _write_duals(out, result.duals)
-        write_report_json(out / "report.json", result.report, config)
         print(str(exc), file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        result = exc.result
     write_matrix_csv(out / "plan.csv", result.plan.matrix)
-    _write_duals(out, result.duals)
-    write_report_json(out / "report.json", result.report, config)
-    return EXIT_OK
-
-
-def _write_duals(out: Path, duals):
-    stacked = np.concatenate([duals.alpha, duals.beta]).reshape(-1, 1)
+    stacked = np.concatenate([result.duals.alpha, result.duals.beta]).reshape(-1, 1)
     write_matrix_csv(out / "duals.csv", stacked)
+    write_report_json(out / "report.json", result.report, config)
+    return EXIT_OK if result.report.converged else EXIT_NOT_CONVERGED
 
 
 def _load_inverse_problem(args):
     plan_matrix = read_matrix_csv(args.plan)
     constraint = _parse_constraints(args.constraint)
     config = SolverConfig(epsilon=args.epsilon, max_iter=args.max_iter,
-                          tol=args.tol, seed=args.seed)
-    smoothed = False
-    if np.any(plan_matrix == 0):
-        if not args.smooth_zeros:
-            raise ZeroObservation(
-                "observed plan contains zero entries; rerun with --smooth-zeros "
-                "to opt in to delta-smoothing")
-        mu = ProbabilityVector(plan_matrix.sum(axis=1) / plan_matrix.sum())
-        nu = ProbabilityVector(plan_matrix.sum(axis=0) / plan_matrix.sum())
+                          tol=args.tol)
+    smoothed = bool(np.any(plan_matrix == 0))
+    if smoothed and not args.smooth_zeros:
+        raise ZeroObservation(
+            "observed plan contains zero entries; rerun with --smooth-zeros "
+            "to opt in to delta-smoothing")
+    mu = ProbabilityVector(plan_matrix.sum(axis=1) / plan_matrix.sum())
+    nu = ProbabilityVector(plan_matrix.sum(axis=0) / plan_matrix.sum())
+    if smoothed:
         plan = smooth_observed_zeros(plan_matrix, mu, nu)
-        smoothed = True
     else:
-        mu = ProbabilityVector(plan_matrix.sum(axis=1) / plan_matrix.sum())
-        nu = ProbabilityVector(plan_matrix.sum(axis=0) / plan_matrix.sum())
-        plan_matrix = plan_matrix / plan_matrix.sum()
-        plan = TransportPlan(plan_matrix, mu, nu, feas_tol=1e-6)
+        plan = TransportPlan(plan_matrix / plan_matrix.sum(), mu, nu, feas_tol=1e-6)
     return InverseProblem(observed=plan, constraint=constraint, config=config,
-                          gamma=args.gamma, smoothed=smoothed)
+                          smoothed=smoothed)
 
 
 def cmd_inverse(args) -> int:
@@ -165,7 +153,10 @@ def cmd_inverse(args) -> int:
         trace_cols.append(solution.report.rel_err_trace)
     write_matrix_csv(out / "trace.csv", np.column_stack(trace_cols))
     write_report_json(out / "report.json", solution.report, problem.config)
-    return EXIT_OK
+    if not solution.report.converged:
+        print(f"cost change above {problem.config.tol:.3e} after "
+              f"{solution.report.iterations} iterations", file=sys.stderr)
+    return EXIT_OK if solution.report.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_bench(args) -> int:
@@ -235,12 +226,8 @@ def cmd_train_continuous(args) -> int:
     config = TrainConfig(learning_rate=args.lr, batch_size=args.batch,
                          n_collocation=args.ns, epochs=args.epochs,
                          seed=args.seed, domain_box=box)
-    try:
-        alpha_net, beta_net, cost, report = train(samples, cost, alpha_net,
-                                                  beta_net, config)
-    except Diverged as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    alpha_net, beta_net, cost, report = train(samples, cost, alpha_net,
+                                              beta_net, config)
     write_checkpoint(out / "checkpoint.json", cost, config, alpha_net, beta_net)
     trace = np.column_stack([np.arange(1, len(report.objective_trace) + 1),
                              report.objective_trace])
@@ -317,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=1.0)
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--max-iter", type=int, default=2000)
-        p.add_argument("--gamma", type=float, default=1.0)
         p.add_argument("--mc", type=float, default=2.0,
                        help="cost box bound for the bcd algorithm")
         p.add_argument("--truth", default=None)
         p.add_argument("--smooth-zeros", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_inverse)
 
@@ -371,10 +356,7 @@ def main(argv=None) -> int:
     except ZeroObservation as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ZERO_OBSERVATION
-    except NotConverged as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except Diverged as exc:
+    except (NotConverged, Diverged) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except (InvotError, OSError, ValueError) as exc:

@@ -1,7 +1,7 @@
 """Cost constraints and their proximal operators.
 
 All constraints used here are indicator functions of convex sets, so each
-prox is an orthogonal projection and the prox step size is irrelevant.
+prox is an orthogonal projection and takes no step size.
 """
 
 from __future__ import annotations
@@ -59,19 +59,19 @@ def prox_linear_affinity(chat, G, D, sign: int = 1):
 
 
 class Constraint:
-    """Base class; prox(chat, gamma) returns the constrained cost."""
+    """Base class; prox(chat) returns the constrained cost."""
 
-    def prox(self, chat, gamma: float = 1.0) -> np.ndarray:
+    def prox(self, chat) -> np.ndarray:
         raise NotImplementedError
 
 
 class NoConstraint(Constraint):
-    def prox(self, chat, gamma: float = 1.0) -> np.ndarray:
+    def prox(self, chat) -> np.ndarray:
         return np.array(as_matrix(chat), dtype=float)
 
 
 class SymmetricZeroDiag(Constraint):
-    def prox(self, chat, gamma: float = 1.0) -> np.ndarray:
+    def prox(self, chat) -> np.ndarray:
         return prox_symmetric_zero_diag(chat)
 
 
@@ -82,7 +82,7 @@ class Box(Constraint):
         self.lower = float(lower)
         self.upper = float(upper)
 
-    def prox(self, chat, gamma: float = 1.0) -> np.ndarray:
+    def prox(self, chat) -> np.ndarray:
         return prox_box(chat, self.lower, self.upper)
 
 
@@ -101,7 +101,7 @@ class LinearAffinity(Constraint):
     def affinity(self, chat) -> np.ndarray:
         return self.sign * (self._Gp.T @ as_matrix(chat) @ self._Dp)
 
-    def prox(self, chat, gamma: float = 1.0) -> np.ndarray:
+    def prox(self, chat) -> np.ndarray:
         A = self.affinity(chat)
         return self.sign * (self.G.T @ A @ self.D)
 
@@ -112,8 +112,8 @@ class Composite(Constraint):
     def __init__(self, parts):
         self.parts = list(parts)
 
-    def prox(self, chat, gamma: float = 1.0) -> np.ndarray:
+    def prox(self, chat) -> np.ndarray:
         out = as_matrix(chat)
         for part in self.parts:
-            out = part.prox(out, gamma)
+            out = part.prox(out)
         return out

@@ -1,10 +1,9 @@
 """Matrix-scaling recovery of the cost matrix from an observed plan.
 
-One outer iteration alternates a single Sinkhorn sweep on the scalings with a
-proximal update of the cost:
+One outer iteration runs a single stabilised Sinkhorn sweep on the duals
+(absorbed every iteration, since c changes) and then projects the cost:
 
-    K <- e^{-c/eps};  u <- mu/(Kv);  v <- nu/(K^T u);
-    K <- pihat/(u v^T);  c <- prox_{gamma R}(-eps log K)
+    (alpha, beta) <- sweep(c);   c <- prox(alpha + beta - eps log pihat)
 
 Only c/eps is identifiable, so solving at eps = 1 recovers c/eps_true.
 """
@@ -18,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import Constraint, LinearAffinity, NoConstraint
-from .errors import BadBounds, NumericalOverflow, ZeroObservation
+from .constraints import Constraint, LinearAffinity
+from .errors import BadBounds, ZeroObservation
+from .sinkhorn import _log_plan, _plan_residual, _Sweep
 from .types import (
     CostMatrix,
     DualPotentials,
@@ -41,12 +41,9 @@ class InverseProblem:
     observed: TransportPlan
     constraint: Constraint
     config: SolverConfig
-    gamma: float = 1.0
     smoothed: bool = False
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise BadBounds("gamma must be positive")
         if not self.observed.strictly_positive():
             raise ZeroObservation(
                 "observed plan contains zero entries, which destroy "
@@ -78,7 +75,10 @@ class InverseSolution:
 
 
 def objective_E(alpha, beta, cost, problem: InverseProblem) -> float:
-    """-<alpha,mu> - <beta,nu> + <c,pihat> + eps * sum e^{(alpha_i+beta_j-c_ij)/eps}."""
+    """-<alpha,mu> - <beta,nu> + <c,pihat> + eps * sum e^{(alpha_i+beta_j-c_ij)/eps}.
+
+    Total on finite inputs: +inf where the exponential sum overflows.
+    """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     c = as_matrix(cost)
@@ -86,13 +86,10 @@ def objective_E(alpha, beta, cost, problem: InverseProblem) -> float:
     pihat = problem.observed.matrix
     mu = problem.observed.row_marginal.values
     nu = problem.observed.col_marginal.values
-    z = (alpha[:, None] + beta[None, :] - c) / eps
     with np.errstate(over="ignore"):
-        s = eps * float(np.exp(z).sum())
-    value = float(-alpha @ mu - beta @ nu + (c * pihat).sum() + s)
-    if not np.isfinite(value):
-        raise NumericalOverflow("objective value is not finite")
-    return value
+        z = _log_plan(alpha, beta, c, eps)
+        s = eps * float(np.exp(z, out=z).sum())
+    return float(-alpha @ mu - beta @ nu + (c * pihat).sum() + s)
 
 
 def set_epsilon_one(problem: InverseProblem) -> InverseProblem:
@@ -116,10 +113,9 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     mu = problem.observed.row_marginal.values
     nu = problem.observed.col_marginal.values
     eps = problem.config.epsilon
-    m, n = pihat.shape
-    c = np.zeros((m, n)) if c_init is None else np.array(as_matrix(c_init), dtype=float)
-    u = np.ones(m)
-    v = np.ones(n)
+    c = np.zeros(pihat.shape) if c_init is None else np.array(as_matrix(c_init), dtype=float)
+    L = -eps * np.log(pihat)
+    alpha, beta = np.zeros(mu.size), np.zeros(nu.size)
     truth_mat = None if truth is None else as_matrix(truth)
 
     obj_trace = []
@@ -129,20 +125,15 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     t0 = time.perf_counter()
     while it < problem.config.max_iter:
         it += 1
-        with np.errstate(over="ignore", under="ignore"):
-            K = np.exp(-c / eps)
-            u = mu / (K @ v)
-            v = nu / (K.T @ u)
-            K = pihat / np.outer(u, v)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and np.all(K > 0)):
-            raise NumericalOverflow(f"scaling vectors degenerated at iteration {it}")
-        chat = -eps * np.log(K)
-        c_new = problem.constraint.prox(chat, problem.gamma)
+        sweep = _Sweep(c, mu, nu, eps, alpha, beta)
+        sweep.scale(1)
+        sweep.scale(0)
+        alpha, beta = sweep.duals()
+        chat = np.add.outer(alpha, beta) + L
+        c_new = problem.constraint.prox(chat)
         delta = float(np.linalg.norm(c_new - c))
         c = c_new
         if it % problem.config.log_every == 0 or delta <= problem.config.tol:
-            alpha = eps * np.log(u)
-            beta = eps * np.log(v)
             obj_trace.append(objective_E(alpha, beta, c, problem))
             if truth_mat is not None:
                 err_trace.append(relative_error(c, truth_mat))
@@ -153,21 +144,15 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
             converged = True
             break
 
-    alpha = eps * np.log(u)
-    beta = eps * np.log(v)
     duals = DualPotentials(alpha=alpha, beta=beta, epsilon=eps)
     affinity = None
     if isinstance(problem.constraint, LinearAffinity):
-        affinity = problem.constraint.affinity(-eps * np.log(pihat / np.outer(u, v)))
-    with np.errstate(over="ignore", under="ignore"):
-        plan_res = float(
-            np.abs(np.exp((alpha[:, None] + beta[None, :] - c) / eps).sum(axis=1)
-                   - mu).sum())
+        affinity = problem.constraint.affinity(chat)
     report = SolveReport(
         iterations=it,
         objective_trace=np.asarray(obj_trace),
         rel_err_trace=np.asarray(err_trace) if truth_mat is not None else None,
-        feasibility_residual=plan_res,
+        feasibility_residual=_plan_residual(alpha, beta, c, mu, nu, eps),
         converged=converged,
         wall_clock_seconds=time.perf_counter() - t0,
         extras={"smoothed_zeros": problem.smoothed},

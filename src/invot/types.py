@@ -169,7 +169,6 @@ class SolverConfig:
     epsilon: float = 1.0
     max_iter: int = 1000
     tol: float = 1e-9
-    seed: int = 0
     log_every: int = 1
 
     def __post_init__(self):

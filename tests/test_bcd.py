@@ -16,6 +16,7 @@ from invot import (
     learn_cost,
     lipschitz_probe,
     objective_F,
+    plan_from_duals,
     rate_bound_constant,
     relative_error,
     synth_cost,
@@ -26,6 +27,29 @@ from invot.bcd import _softmax_plan
 from invot.scaling import InverseProblem
 from conftest import make_plan, random_plan
 from test_scaling import SYM_NONNEG, forward_plan, problem_from
+
+# the stabilised sweep must never under/overflow silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def lse_alpha(state, problem):
+    """Reference alpha block: the max-shifted log-sum-exp closed form."""
+    eps = problem.config.epsilon
+    z = (state.beta[None, :] - state.cost) / eps
+    m = np.max(z, axis=1, keepdims=True)
+    lse = np.squeeze(m, axis=1) + np.log(np.exp(z - m).sum(axis=1))
+    alpha = eps * (np.log(problem.observed.row_marginal.values) - lse)
+    return alpha - 0.5 * (alpha.max() + alpha.min())
+
+
+def lse_beta(state, problem):
+    """Reference beta block, the column analogue of `lse_alpha`."""
+    eps = problem.config.epsilon
+    z = (state.alpha[:, None] - state.cost) / eps
+    m = np.max(z, axis=0, keepdims=True)
+    lse = np.squeeze(m, axis=0) + np.log(np.exp(z - m).sum(axis=0))
+    beta = eps * (np.log(problem.observed.col_marginal.values) - lse)
+    return beta - 0.5 * (beta.max() + beta.min())
 
 
 def fresh_state(problem, M_c=2.0, rng=None):
@@ -126,6 +150,20 @@ class TestBlockUpdates:
             fb = objective_F(sb.alpha, sb.beta, sb.cost, problem)
             assert fa <= f0 + 1e-12
             assert fb <= fa + 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_blocks_match_log_sum_exp_reference(self, rng, offset):
+        # offset 1000 makes e^{-c/eps} underflow in every entry
+        problem = problem_from(random_plan(rng, 5, 7), NoConstraint(), eps=0.6)
+        for _ in range(20):
+            state = fresh_state(problem, rng=rng)
+            state = BcdState(alpha=state.alpha, beta=state.beta,
+                             cost=state.cost + offset, M_c=state.M_c,
+                             M_alpha=state.M_alpha, M_beta=state.M_beta)
+            alpha = bcd_alpha_update(state, problem).alpha
+            assert np.abs(alpha - lse_alpha(state, problem)).max() <= 1e-12
+            beta = bcd_beta_update(state, problem).beta
+            assert np.abs(beta - lse_beta(state, problem)).max() <= 1e-12
 
     def test_alpha_matches_bisection_oracle(self, rng):
         # oracle: cyclic per-coordinate bisection on the alpha stationarity
@@ -228,6 +266,21 @@ class TestBcdSolve:
         problem = problem_from(plan, SYM_NONNEG, max_iter=5000, tol=1e-12)
         solution = bcd_solve(problem, M_c=2.0, truth=c_star)
         assert solution.report.rel_err_trace[-1] <= 1e-2
+
+    def test_feasibility_residual_of_returned_triple(self):
+        n = 12
+        c_star = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=1.0, seed=3))
+        mu, nu = synth_marginals(n, n, seed=3)
+        plan = forward_plan(c_star, mu, nu, 1.0)
+        solution = bcd_solve(problem_from(plan, SYM_NONNEG, max_iter=5000,
+                                          tol=1e-9), M_c=2.0)
+        model = plan_from_duals(solution.duals, solution.cost)
+        expect = max(np.abs(model.sum(axis=1) - mu.values).sum(),
+                     np.abs(model.sum(axis=0) - nu.values).sum())
+        assert solution.report.converged
+        assert solution.report.feasibility_residual == pytest.approx(
+            expect, rel=1e-12)
+        assert solution.report.feasibility_residual <= 1e-6
 
     def test_psi_trace_monotone(self, rng):
         problem = problem_from(random_plan(rng, 5, 5), SYM_NONNEG,

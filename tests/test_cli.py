@@ -84,7 +84,7 @@ class TestInverseCommand:
         synth_forward(tmp_path)
         code = main(["inverse", "--plan", str(tmp_path / "f" / "plan.csv"),
                      "--constraint", "sym0", "--constraint", "box:0:inf",
-                     "--epsilon", "0.5", "--max-iter", "500",
+                     "--epsilon", "0.5", "--max-iter", "500", "--tol", "1e-8",
                      "--truth", str(tmp_path / "s" / "cost.csv"),
                      "--out", str(tmp_path / "i")])
         assert code == 0
@@ -98,11 +98,32 @@ class TestInverseCommand:
             assert main(["inverse", "--plan", str(tmp_path / "f" / "plan.csv"),
                          "--constraint", "sym0", "--constraint", "box:0:inf",
                          "--algo", algo, "--epsilon", "0.5",
-                         "--max-iter", "4000", "--tol", "1e-12",
+                         "--max-iter", "4000", "--tol", "1e-9",
                          "--out", str(tmp_path / out)]) == 0
         a = read_matrix_csv(tmp_path / "a" / "cost.csv")
         b = read_matrix_csv(tmp_path / "b" / "cost.csv")
         assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-3
+
+    @pytest.mark.parametrize("command", ["inverse", "bcd"])
+    def test_not_converged_exit_code(self, tmp_path, capsys, command):
+        synth_forward(tmp_path, n=12)
+        code = main([command, "--plan", str(tmp_path / "f" / "plan.csv"),
+                     "--constraint", "sym0", "--constraint", "box:0:inf",
+                     "--epsilon", "0.5", "--max-iter", "3",
+                     "--out", str(tmp_path / "i")])
+        capsys.readouterr()
+        assert code == 2
+        assert (tmp_path / "i" / "cost.csv").exists()
+        assert (tmp_path / "i" / "trace.csv").exists()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads((tmp_path / "i" / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["converged"] is False
+        assert report["iterations"] == 3
+        assert report["feasibility_residual"] > 0
 
     def test_zero_observation_refused(self, tmp_path, capsys):
         write_matrix_csv(tmp_path / "plan.csv",

@@ -108,12 +108,6 @@ class TestConstraintObjects:
         expect = prox_box(prox_symmetric_zero_diag(c), 0.0, 1.0)
         assert np.array_equal(combo.prox(c), expect)
 
-    def test_gamma_irrelevant_for_projections(self, rng):
-        c = rng.normal(size=(4, 4))
-        for constraint in (SymmetricZeroDiag(), Box(0.0, 1.0), NoConstraint()):
-            assert np.array_equal(constraint.prox(c, 1.0),
-                                  constraint.prox(c, 17.0))
-
 
 matrices_4x4 = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False),

@@ -25,6 +25,9 @@ from invot import (
 from invot.errors import ZeroObservation
 from conftest import make_plan, random_plan
 
+# the stabilised sweep must never under/overflow silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SYM_NONNEG = Composite([SymmetricZeroDiag(), Box(0.0, np.inf)])
 
 
@@ -163,6 +166,31 @@ class TestLearnCost:
                               c_init=c_star)
         assert solution.report.converged
         assert relative_error(solution.cost, c_star) <= 1e-8
+
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    def test_recovers_from_init_whose_kernel_underflows(self, rng, eps):
+        # e^{-c_init/eps} is exactly 0 in every entry
+        c_star = prox_symmetric_zero_diag(rng.uniform(0, 1, size=(5, 5)))
+        mu, nu = synth_marginals(5, 5, seed=9)
+        plan = forward_plan(c_star, mu, nu, eps, tol=1e-13)
+        solution = learn_cost(problem_from(plan, eps=eps, max_iter=3000,
+                                           tol=1e-14),
+                              c_init=c_star + 1000.0 * eps)
+        assert solution.report.converged
+        assert relative_error(solution.cost, c_star) <= 1e-6
+
+    def test_feasibility_residual_covers_rows_and_columns(self, rng):
+        plan = random_plan(rng, 6, 6)
+        constraint = LinearAffinity(rng.normal(size=(1, 6)),
+                                    rng.normal(size=(1, 6)), 1)
+        solution = learn_cost(problem_from(plan, constraint, eps=0.7,
+                                           max_iter=2))
+        model = plan_from_duals(solution.duals, solution.cost)
+        row = np.abs(model.sum(axis=1) - plan.row_marginal.values).sum()
+        col = np.abs(model.sum(axis=0) - plan.col_marginal.values).sum()
+        assert col > row  # the instance exercises the column residual
+        assert solution.report.feasibility_residual == pytest.approx(
+            max(row, col), rel=1e-12)
 
     def test_recovery_consistency_across_sizes(self, rng):
         for n in range(3, 11):

@@ -5,14 +5,20 @@ from invot import (
     DualPotentials,
     ProbabilityVector,
     SolverConfig,
+    SyntheticSpec,
     dual_objective,
     entropy,
     plan_from_duals,
     sinkhorn_solve,
+    synth_cost,
+    synth_marginals,
     validate_plan,
 )
 from invot.errors import NotConverged, NumericalOverflow
 from conftest import random_plan
+
+# the stabilised sweep must never under/overflow silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 half = ProbabilityVector(np.array([0.5, 0.5]))
 
@@ -97,12 +103,36 @@ class TestSinkhornSolve:
         assert result.report.feasibility_residual <= 1e-12
 
     def test_log_and_direct_modes_agree(self, rng):
-        c = rng.uniform(0, 1, size=(3, 3))
-        mu = ProbabilityVector(rng.dirichlet(np.ones(3) * 5))
-        nu = ProbabilityVector(rng.dirichlet(np.ones(3) * 5))
-        a = sinkhorn_solve(c, mu, nu, tight(epsilon=0.3), mode="direct")
-        b = sinkhorn_solve(c, mu, nu, tight(epsilon=0.3), mode="log")
-        assert np.allclose(a.plan.matrix, b.plan.matrix, atol=1e-10)
+        # all three absorption policies, on a small instance and on one at
+        # eps = 0.01, where c/eps reaches 100
+        small = (rng.uniform(0, 1, size=(3, 3)),
+                 ProbabilityVector(rng.dirichlet(np.ones(3) * 5)),
+                 ProbabilityVector(rng.dirichlet(np.ones(3) * 5)), 0.3)
+        large = (synth_cost(SyntheticSpec(n=256, p=2.0, epsilon=0.01, seed=5)),
+                 *synth_marginals(256, 256, seed=5), 0.01)
+        for c, mu, nu, eps in (small, large):
+            config = SolverConfig(epsilon=eps, max_iter=100000, tol=1e-12)
+            runs = {mode: sinkhorn_solve(c, mu, nu, config, mode=mode)
+                    for mode in ("direct", "auto", "log")}
+            assert len({r.report.iterations for r in runs.values()}) == 1
+            ref = runs["log"].plan.matrix
+            for r in runs.values():
+                assert np.abs(r.plan.matrix - ref).max() <= 1e-10 * ref.max()
+            assert runs["log"].report.extras["log_domain"]
+            assert not runs["direct"].report.extras["log_domain"]
+
+    def test_auto_solves_cost_whose_kernel_underflows(self):
+        # e^{-c/eps} is exactly 0 in every entry; only the stabilised sweep
+        # can scale it, and a constant offset leaves the plan unchanged
+        n = 30
+        c = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=1.0, seed=2)).matrix
+        mu, nu = synth_marginals(n, n, seed=2)
+        assert not np.any(np.exp(-(c + 1000.0)))
+        base = sinkhorn_solve(c, mu, nu, tight(epsilon=1.0))
+        shifted = sinkhorn_solve(c + 1000.0, mu, nu, tight(epsilon=1.0))
+        assert shifted.report.extras["log_domain"]
+        assert shifted.report.iterations == base.report.iterations
+        assert np.abs(shifted.plan.matrix - base.plan.matrix).max() <= 1e-12
 
 
 class TestPlanFromDuals:
