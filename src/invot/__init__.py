@@ -58,7 +58,6 @@ from .types import (
     entropy,
     kl_divergence,
     relative_error,
-    validate_plan,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

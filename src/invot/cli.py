@@ -126,11 +126,11 @@ def _load_inverse_problem(args):
         raise ZeroObservation(
             "observed plan contains zero entries; rerun with --smooth-zeros "
             "to opt in to delta-smoothing")
-    mu = ProbabilityVector(plan_matrix.sum(axis=1) / plan_matrix.sum())
-    nu = ProbabilityVector(plan_matrix.sum(axis=0) / plan_matrix.sum())
     if smoothed:
-        plan = smooth_observed_zeros(plan_matrix, mu, nu)
+        plan = smooth_observed_zeros(plan_matrix)
     else:
+        mu = ProbabilityVector(plan_matrix.sum(axis=1) / plan_matrix.sum())
+        nu = ProbabilityVector(plan_matrix.sum(axis=0) / plan_matrix.sum())
         plan = TransportPlan(plan_matrix / plan_matrix.sum(), mu, nu, feas_tol=1e-6)
     return InverseProblem(observed=plan, constraint=constraint, config=config,
                           smoothed=smoothed)

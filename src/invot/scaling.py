@@ -5,6 +5,9 @@ One outer iteration runs a single stabilised Sinkhorn sweep on the duals
 
     (alpha, beta) <- sweep(c);   c <- prox(alpha + beta - eps log pihat)
 
+The next sweep's kernel is the plan of the new (alpha, beta, c); its K 1 serves
+the next row half-step, the objective_E trace and the feasibility residual.
+
 Only c/eps is identifiable, so solving at eps = 1 recovers c/eps_true.
 """
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .constraints import Constraint, LinearAffinity
 from .errors import BadBounds, ZeroObservation
-from .sinkhorn import _log_plan, _plan_residual, _Sweep
+from .sinkhorn import _log_plan, _Sweep
 from .types import (
     CostMatrix,
     DualPotentials,
@@ -51,8 +54,7 @@ class InverseProblem:
                 "delta-smoothing")
 
 
-def smooth_observed_zeros(matrix, mu: ProbabilityVector, nu: ProbabilityVector,
-                          feas_tol: float = 1e-6) -> TransportPlan:
+def smooth_observed_zeros(matrix, feas_tol: float = 1e-6) -> TransportPlan:
     """Replace zero plan entries with 1e-12 and renormalize.
 
     Opt-in repair for plans with empty cells; the result is flagged by the
@@ -123,18 +125,23 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     converged = False
     it = 0
     t0 = time.perf_counter()
+    sweep = _Sweep(c, mu, nu, eps, alpha, beta)
+    Kv = None  # K 1 of the current sweep (v = 1), reused by its row half-step
     while it < problem.config.max_iter:
         it += 1
-        sweep = _Sweep(c, mu, nu, eps, alpha, beta)
-        sweep.scale(1)
+        sweep.scale(1, Kv)
         sweep.scale(0)
         alpha, beta = sweep.duals()
         chat = np.add.outer(alpha, beta) + L
         c_new = problem.constraint.prox(chat)
         delta = float(np.linalg.norm(c_new - c))
         c = c_new
+        sweep = _Sweep(c, mu, nu, eps, alpha, beta)
+        Kv = sweep.K @ sweep.v
         if it % problem.config.log_every == 0 or delta <= problem.config.tol:
-            obj_trace.append(objective_E(alpha, beta, c, problem))
+            with np.errstate(over="ignore"):  # +inf, as in objective_E
+                obj_trace.append(float(-alpha @ mu - beta @ nu + np.vdot(c, pihat)
+                                       + eps * Kv.sum()))
             if truth_mat is not None:
                 err_trace.append(relative_error(c, truth_mat))
                 if target_rel_err is not None and err_trace[-1] <= target_rel_err:
@@ -152,7 +159,8 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
         iterations=it,
         objective_trace=np.asarray(obj_trace),
         rel_err_trace=np.asarray(err_trace) if truth_mat is not None else None,
-        feasibility_residual=_plan_residual(alpha, beta, c, mu, nu, eps),
+        feasibility_residual=max(float(np.abs(Kv - mu).sum()),
+                                 float(np.abs(sweep.K.sum(axis=0) - nu).sum())),
         converged=converged,
         wall_clock_seconds=time.perf_counter() - t0,
         extras={"smoothed_zeros": problem.smoothed},

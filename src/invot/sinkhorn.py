@@ -6,6 +6,10 @@ arXiv:1610.06519; Peyre & Cuturi, arXiv:1803.00567, sec. 4.4). ``mode`` sets
 when this solve absorbs: ``"direct"`` never, so a scaling that under/overflows
 raises NumericalOverflow; ``"log"`` every iteration; ``"auto"`` once a scaling
 leaves [e^-100, e^100] or under/overflows.
+
+An iteration costs two m-by-n matrix-vector products, and its traces reuse
+them: the plan diag(u) K diag(v) has mass u . (K v). No m-by-n exp runs
+outside `_Sweep._build` except the one that builds the returned plan.
 """
 
 from __future__ import annotations
@@ -23,13 +27,15 @@ from .types import (
     SolverConfig,
     TransportPlan,
     as_matrix,
-    validate_plan,
 )
 
 
 def _log_plan(alpha, beta, cost, eps) -> np.ndarray:
-    """The log-plan (alpha_i + beta_j - c_ij)/eps, as a new array."""
-    return (np.add.outer(alpha, beta) - cost) / eps
+    """The log-plan (alpha_i + beta_j - c_ij)/eps, as one new array."""
+    z = np.add.outer(alpha, beta)
+    z -= cost
+    z /= eps
+    return z
 
 
 class _Sweep:
@@ -107,8 +113,8 @@ class SinkhornResult:
 def plan_from_duals(duals: DualPotentials, cost) -> np.ndarray:
     """Raw closed-form plan pi_ij = e^{(alpha_i + beta_j - c_ij)/eps}.
 
-    No marginal feasibility is implied; run validate_plan on the result if a
-    proper TransportPlan is needed.
+    No marginal feasibility is implied; wrap the result in a TransportPlan to
+    check it.
     """
     z = _log_plan(duals.alpha, duals.beta, as_matrix(cost), duals.epsilon)
     if np.max(z) > 700:
@@ -120,14 +126,18 @@ def plan_from_duals(duals: DualPotentials, cost) -> np.ndarray:
 def dual_objective(duals: DualPotentials, cost, mu: ProbabilityVector,
                    nu: ProbabilityVector) -> float:
     """<alpha, mu> + <beta, nu> - eps * sum e^{(alpha_i + beta_j - c_ij)/eps}."""
-    eps = duals.epsilon
-    z = _log_plan(duals.alpha, duals.beta, as_matrix(cost), eps)
+    z = _log_plan(duals.alpha, duals.beta, as_matrix(cost), duals.epsilon)
     with np.errstate(over="raise"):
         try:
             expsum = float(np.exp(z, out=z).sum())
         except FloatingPointError:
             raise NumericalOverflow("exponential sum overflows in dual objective")
-    return float(duals.alpha @ mu.values + duals.beta @ nu.values - eps * expsum)
+    return _dual_value(duals.alpha, duals.beta, mu, nu, duals.epsilon, expsum)
+
+
+def _dual_value(alpha, beta, mu, nu, eps, mass) -> float:
+    """<alpha, mu> + <beta, nu> - eps * mass, where mass sums the plan of (alpha, beta)."""
+    return float(alpha @ mu.values + beta @ nu.values - eps * mass)
 
 
 def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
@@ -167,15 +177,15 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
         residual = max(float(np.abs(sweep.u * Kv - mu.values).sum()),
                        float(np.abs(sweep.v * Ktu - nu.values).sum()))
         if it % config.log_every == 0 or residual <= config.tol:
-            duals = DualPotentials(*sweep.duals(), epsilon=eps)
-            obj_trace.append(dual_objective(duals, c, mu, nu))
+            obj_trace.append(_dual_value(*sweep.duals(), mu, nu, eps, sweep.u @ Kv))
             res_trace.append(residual)
         if residual <= config.tol:
             converged = True
             break
-        # the band e^{+-100} is well inside the float range (e^709)
-        if mode == "log" or (mode == "auto" and max(
-                np.abs(np.log(s)).max() for s in (sweep.u, sweep.v)) > 100):
+        # the band e^{+-100} is well inside the float range (e^709); the last
+        # iteration does not absorb, as only a next row half-step ends its shift
+        if it < config.max_iter and (mode == "log" or (mode == "auto" and max(
+                np.abs(np.log(s)).max() for s in (sweep.u, sweep.v)) > 100)):
             sweep.absorb(axis=1)
             Kv = None
 
@@ -191,11 +201,9 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
                 "residual_trace": np.asarray(res_trace)},
     )
     feas_tol = max(residual * (1.01 if converged else 2.0), config.tol)
-    result = SinkhornResult(duals=duals,
-                            plan=validate_plan(plan_from_duals(duals, c), mu, nu,
-                                               feas_tol=feas_tol),
-                            dual_objective=dual_objective(duals, c, mu, nu),
-                            report=report)
+    plan = TransportPlan(plan_from_duals(duals, c), mu, nu, feas_tol=feas_tol)
+    value = _dual_value(duals.alpha, duals.beta, mu, nu, eps, float(plan.matrix.sum()))
+    result = SinkhornResult(duals=duals, plan=plan, dual_objective=value, report=report)
     if not converged:
         raise NotConverged(
             f"marginal residual {residual:.3e} above {config.tol:.3e} after "

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    BadBounds,
     DimMismatch,
     MarginalMismatch,
     MassMismatch,
@@ -27,9 +28,15 @@ from .errors import (
 
 
 def _frozen_array(values, ndim):
+    """A read-only float copy; DimMismatch on a wrong ndim or a non-finite entry."""
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise DimMismatch(f"expected a {ndim}-d array, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        idx = tuple(int(k) for k in np.unravel_index(int(np.argmin(finite)), arr.shape))
+        where = idx[0] if ndim == 1 else idx
+        raise DimMismatch(f"entry {where} is not finite: {arr[idx]!r}")
     arr.setflags(write=False)
     return arr
 
@@ -57,7 +64,7 @@ class ProbabilityVector:
             i = int(np.argmin(v))
             raise NegativeEntry(f"entry {i} is negative: {v[i]!r}")
         total = float(v.sum())
-        if abs(total - 1.0) > self.mass_tol:
+        if not abs(total - 1.0) <= self.mass_tol:
             raise MassMismatch(f"entries sum to {total!r}, not 1")
 
     @property
@@ -70,7 +77,7 @@ class ProbabilityVector:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """An m-by-n joint probability matrix with marginal constraints."""
+    """An m-by-n joint probability matrix, checked against its marginals on construction."""
 
     matrix: np.ndarray
     row_marginal: ProbabilityVector
@@ -94,24 +101,17 @@ class TransportPlan:
             i, j = np.unravel_index(int(np.argmin(mat)), mat.shape)
             raise NegativeEntry(f"entry ({i}, {j}) is negative: {mat[i, j]!r}")
         total = float(mat.sum())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise MassMismatch(f"total mass {total!r} differs from 1 by more than 1e-10")
-        row_res = float(np.abs(mat.sum(axis=1) - self.row_marginal.values).sum())
-        col_res = float(np.abs(mat.sum(axis=0) - self.col_marginal.values).sum())
-        object.__setattr__(self, "row_residual", row_res)
-        object.__setattr__(self, "col_residual", col_res)
-        if row_res > self.feas_tol:
-            worst = int(np.argmax(np.abs(mat.sum(axis=1) - self.row_marginal.values)))
-            raise MarginalMismatch(
-                f"row marginal L1 residual {row_res:.3e} exceeds {self.feas_tol:.3e} "
-                f"(worst row {worst})"
-            )
-        if col_res > self.feas_tol:
-            worst = int(np.argmax(np.abs(mat.sum(axis=0) - self.col_marginal.values)))
-            raise MarginalMismatch(
-                f"column marginal L1 residual {col_res:.3e} exceeds {self.feas_tol:.3e} "
-                f"(worst column {worst})"
-            )
+        for axis, side, marginal in ((1, "row", self.row_marginal),
+                                     (0, "column", self.col_marginal)):
+            gap = np.abs(mat.sum(axis=axis) - marginal.values)
+            res = float(gap.sum())
+            object.__setattr__(self, side[:3] + "_residual", res)
+            if not res <= self.feas_tol:
+                raise MarginalMismatch(
+                    f"{side} marginal L1 residual {res:.3e} exceeds {self.feas_tol:.3e} "
+                    f"(worst {side} {int(np.argmax(gap))})")
 
     @property
     def shape(self):
@@ -131,8 +131,6 @@ class CostMatrix:
     def __post_init__(self):
         mat = _frozen_array(self.matrix, 2)
         object.__setattr__(self, "matrix", mat)
-        if not np.all(np.isfinite(mat)):
-            raise DimMismatch("cost matrix must have finite entries")
         if self.symmetric_zero_diagonal:
             m, n = mat.shape
             if m != n:
@@ -158,10 +156,8 @@ class DualPotentials:
         b = _frozen_array(self.beta, 1)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise DimMismatch("dual potentials must be finite")
         if not self.epsilon > 0:
-            raise DimMismatch("epsilon must be positive")
+            raise BadBounds("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -172,10 +168,9 @@ class SolverConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.max_iter <= 0 or self.tol <= 0 or self.log_every <= 0:
-            raise DimMismatch("epsilon, max_iter, tol, log_every must all be positive")
-        if not self.tol < 1:
-            raise DimMismatch("tol must be below 1")
+        if not (self.epsilon > 0 and self.max_iter > 0 and 0 < self.tol < 1
+                and self.log_every > 0):
+            raise BadBounds("epsilon, max_iter, log_every must be positive, tol in (0, 1)")
 
 
 @dataclass
@@ -189,17 +184,6 @@ class SolveReport:
     converged: bool
     wall_clock_seconds: float
     extras: dict = field(default_factory=dict)
-
-
-def validate_plan(matrix, mu: ProbabilityVector, nu: ProbabilityVector,
-                  feas_tol: float = 1e-8) -> TransportPlan:
-    """Check matrix/marginal consistency and wrap the result as a TransportPlan.
-
-    Raises NegativeEntry, MassMismatch, or MarginalMismatch naming the worst
-    offending index when an invariant fails.
-    """
-    return TransportPlan(matrix=matrix, row_marginal=mu, col_marginal=nu,
-                         feas_tol=feas_tol)
 
 
 def entropy(plan: TransportPlan) -> float:

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy is first imported: on a busy 2-vCPU host
+# OpenBLAS's default threads make small solves 40x slower now and then, which
+# trips the monotone-time gate of criterion 3.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -23,6 +23,7 @@ from invot import (
     synth_marginals,
 )
 from invot.errors import ZeroObservation
+from invot.sinkhorn import _plan_residual
 from conftest import make_plan, random_plan
 
 # the stabilised sweep must never under/overflow silently
@@ -112,9 +113,7 @@ class TestZeroObservationPolicy:
             problem_from(plan)
 
     def test_smoothing_opt_in(self):
-        mat = np.array([[0.5, 0.0], [0.0, 0.5]])
-        mu = ProbabilityVector(np.array([0.5, 0.5]))
-        plan = smooth_observed_zeros(mat, mu, mu)
+        plan = smooth_observed_zeros(np.array([[0.5, 0.0], [0.0, 0.5]]))
         assert plan.strictly_positive()
         assert plan.matrix.min() >= 1e-13
         problem = problem_from(plan)
@@ -191,6 +190,35 @@ class TestLearnCost:
         assert col > row  # the instance exercises the column residual
         assert solution.report.feasibility_residual == pytest.approx(
             max(row, col), rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["sym0_box", "affinity", "shifted_init"])
+    def test_trace_and_residual_match_references(self, rng, case):
+        # trace and residual come from the next sweep's kernel; both must
+        # agree with the reference functions at the returned triple
+        n, eps = 8, 0.5
+        c_star = prox_symmetric_zero_diag(rng.uniform(0.05, 1.0, size=(n, n)))
+        mu, nu = synth_marginals(n, n, seed=3)
+        plan = forward_plan(c_star, mu, nu, eps, tol=1e-13)
+        constraint = (LinearAffinity(rng.normal(size=(2, n)),
+                                     rng.normal(size=(3, n)), 1)
+                      if case == "affinity" else SYM_NONNEG)
+        c_init = c_star + 1000.0 * eps if case == "shifted_init" else None
+        for k in range(1, 6):
+            problem = problem_from(plan, constraint, eps=eps, max_iter=k,
+                                   tol=1e-15)
+            solution = learn_cost(problem, c_init=c_init)
+            alpha, beta = solution.duals.alpha, solution.duals.beta
+            cost = solution.cost.matrix
+            ref = objective_E(alpha, beta, cost, problem)
+            last = solution.report.objective_trace[-1]
+            if np.isinf(ref):  # the first step from the shifted init overflows
+                assert last == ref
+            else:
+                assert last == pytest.approx(ref, rel=1e-12)
+            residual = _plan_residual(alpha, beta, cost, plan.row_marginal.values,
+                                      plan.col_marginal.values, eps)
+            assert solution.report.feasibility_residual == pytest.approx(
+                residual, rel=1e-12, abs=1e-12)
 
     def test_recovery_consistency_across_sizes(self, rng):
         for n in range(3, 11):

@@ -6,13 +6,13 @@ from invot import (
     ProbabilityVector,
     SolverConfig,
     SyntheticSpec,
+    TransportPlan,
     dual_objective,
     entropy,
     plan_from_duals,
     sinkhorn_solve,
     synth_cost,
     synth_marginals,
-    validate_plan,
 )
 from invot.errors import NotConverged, NumericalOverflow
 from conftest import random_plan
@@ -154,7 +154,7 @@ class TestPlanFromDuals:
         mu = ProbabilityVector(rng.dirichlet(np.ones(3) * 5))
         nu = ProbabilityVector(rng.dirichlet(np.ones(3) * 5))
         result = sinkhorn_solve(c, mu, nu, SolverConfig(max_iter=5000, tol=1e-9))
-        validate_plan(plan_from_duals(result.duals, c), mu, nu, feas_tol=1e-8)
+        TransportPlan(plan_from_duals(result.duals, c), mu, nu, feas_tol=1e-8)
 
     def test_overflow_guard(self):
         duals = DualPotentials(np.array([800.0]), np.zeros(1), epsilon=1.0)
@@ -196,6 +196,27 @@ class TestDualObjective:
         result = sinkhorn_solve(c, mu, nu, tight(epsilon=eps))
         primal = float((c * result.plan.matrix).sum()) - eps * entropy(result.plan)
         assert result.dual_objective == pytest.approx(primal, abs=1e-6)
+
+
+class TestTraces:
+    @pytest.mark.parametrize("mode,offset", [("direct", 0.0), ("log", 0.0),
+                                             ("log", 1000.0), ("auto", 1000.0)])
+    def test_trace_and_value_match_dual_objective(self, mode, offset):
+        # the trace is taken from the sweep's products, the returned value
+        # from the plan; both must agree with the reference at every budget
+        n = 30
+        c = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=1.0, seed=2)).matrix + offset
+        mu, nu = synth_marginals(n, n, seed=2)
+        for k in range(1, 6):
+            with pytest.raises(NotConverged) as err:
+                sinkhorn_solve(c, mu, nu,
+                               SolverConfig(epsilon=1.0, max_iter=k, tol=1e-15),
+                               mode=mode)
+            result = err.value.result
+            ref = dual_objective(result.duals, c, mu, nu)
+            assert result.report.objective_trace[-1] == pytest.approx(ref, rel=1e-12)
+            assert result.dual_objective == ref
+            assert result.report.extras["log_domain"] == (mode != "direct")
 
 
 class TestProperties:

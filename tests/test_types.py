@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from invot import (
+    DualPotentials,
     ProbabilityVector,
+    SolverConfig,
     TransportPlan,
     entropy,
     kl_divergence,
     relative_error,
-    validate_plan,
 )
 from invot.errors import (
+    BadBounds,
+    DimMismatch,
     MarginalMismatch,
     MassMismatch,
     NegativeEntry,
@@ -30,6 +33,11 @@ class TestProbabilityVector:
         with pytest.raises(MassMismatch):
             ProbabilityVector(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(DimMismatch, match="entry 1 is not finite"):
+            ProbabilityVector(np.array([0.5, bad, 0.5]))
+
     def test_strict_positivity_flag(self):
         assert half.strictly_positive()
         assert not ProbabilityVector(np.array([1.0, 0.0])).strictly_positive()
@@ -41,13 +49,13 @@ class TestProbabilityVector:
 
 class TestValidatePlan:
     def test_uniform_independent_coupling(self):
-        plan = validate_plan(np.full((2, 2), 0.25), half, half, feas_tol=1e-9)
+        plan = TransportPlan(np.full((2, 2), 0.25), half, half, feas_tol=1e-9)
         assert plan.row_residual == 0.0
         assert plan.col_residual == 0.0
 
     def test_marginal_mismatch_names_worst_row(self):
         with pytest.raises(MarginalMismatch) as err:
-            validate_plan(np.array([[0.6, 0.0], [0.0, 0.4]]), half, half,
+            TransportPlan(np.array([[0.6, 0.0], [0.0, 0.4]]), half, half,
                           feas_tol=1e-9)
         assert "row" in str(err.value)
 
@@ -56,11 +64,35 @@ class TestValidatePlan:
         mat[0, 0] = -1e-6
         mat[1, 1] = 0.5 + 1e-6 - 0.25
         with pytest.raises(NegativeEntry):
-            validate_plan(mat, half, half, feas_tol=1e-3)
+            TransportPlan(mat, half, half, feas_tol=1e-3)
 
     def test_mass_mismatch(self):
         with pytest.raises(MassMismatch):
-            validate_plan(np.full((2, 2), 0.26), half, half, feas_tol=1.0)
+            TransportPlan(np.full((2, 2), 0.26), half, half, feas_tol=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        mat = np.full((2, 2), 0.25)
+        mat[1, 0] = bad
+        with pytest.raises(DimMismatch, match=r"entry \(1, 0\) is not finite"):
+            TransportPlan(mat, half, half, feas_tol=1.0)
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", np.nan),
+        ("max_iter", 0), ("tol", 0.0), ("tol", 1.0), ("log_every", 0)])
+    def test_solver_config_out_of_range(self, field, value):
+        with pytest.raises(BadBounds):
+            SolverConfig(**{field: value})
+
+    def test_dual_epsilon_out_of_range(self):
+        with pytest.raises(BadBounds):
+            DualPotentials(np.zeros(2), np.zeros(2), epsilon=0.0)
+
+    def test_dual_shape_error_keeps_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            DualPotentials(np.zeros((2, 2)), np.zeros(2), epsilon=1.0)
 
 
 class TestEntropy:
