@@ -28,7 +28,7 @@ from .constraints import Constraint
 from .errors import BadBounds
 from .scaling import InverseProblem, InverseSolution
 from .sinkhorn import _log_plan, _plan_residual, _Sweep
-from .types import CostMatrix, DualPotentials, SolveReport, as_matrix, relative_error
+from .types import CostMatrix, DualPotentials, SolveReport, _error_to, as_matrix
 
 
 def _log_mass(alpha, beta, cost, eps) -> float:
@@ -154,7 +154,7 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, c_init=None,
                      M_c=M_c, M_alpha=M_alpha, M_beta=M_beta)
     psi = []
     err_trace = []
-    truth_mat = None if truth is None else as_matrix(truth)
+    rel_err = None if truth is None else _error_to(truth, (m, n))
     converged = False
     it = 0
     t0 = time.perf_counter()
@@ -165,8 +165,8 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, c_init=None,
         state = bcd_beta_update(state, problem)
         state = bcd_c_update(state, problem, inner_steps=inner_steps)
         psi.append(objective_F(state.alpha, state.beta, state.cost, problem))
-        if truth_mat is not None:
-            err_trace.append(relative_error(state.cost, truth_mat))
+        if rel_err is not None:
+            err_trace.append(rel_err(state.cost))
         if state_log is not None and it % problem.config.log_every == 0:
             state_log.append(replace(state, psi_trace=tuple(psi)))
         if float(np.linalg.norm(state.cost - c_prev)) <= problem.config.tol:
@@ -179,7 +179,7 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, c_init=None,
     report = SolveReport(
         iterations=it,
         objective_trace=np.asarray(psi),
-        rel_err_trace=np.asarray(err_trace) if truth_mat is not None else None,
+        rel_err_trace=np.asarray(err_trace) if rel_err is not None else None,
         feasibility_residual=_plan_residual(
             alpha, state.beta, state.cost, problem.observed.row_marginal.values,
             problem.observed.col_marginal.values, eps),

@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("bench", help="time-to-target sweeps over problem size")
-    p.add_argument("--suite", choices=["fig1"], default="fig1")
     p.add_argument("--sizes", default="128,256,512")
     p.add_argument("--epsilons", default="1.0,0.1")
     p.add_argument("--p", type=float, default=2.0)

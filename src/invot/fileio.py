@@ -1,14 +1,17 @@
 """CSV / JSON / checkpoint serialization.
 
-Matrix CSV layout: first line is the header ``rows,cols``; each following
-line holds one row of comma-separated values printed with 17 significant
-digits (bit-exact float round trip, '.' decimal, no locale). Probability
-vectors use the same layout with cols = 1.
+Every CSV artifact is one table: a header line, then one line per row of
+comma-separated values printed with 17 significant digits (bit-exact float
+round trip, '.' decimal, no locale). A matrix has the header ``rows,cols``; a
+probability vector is a matrix with cols = 1; pairs have the header
+``rows,cols,dx`` and each row holds x (the first dx values, 1 <= dx < cols)
+and then y. ``report.json`` is strict JSON, with null for non-finite numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import List
 
@@ -22,42 +25,55 @@ from .types import ProbabilityVector, as_matrix
 _FMT = "%.17g"
 
 
-def write_matrix_csv(path, matrix) -> None:
-    mat = np.atleast_2d(np.asarray(as_matrix(matrix), dtype=float))
-    rows, cols = mat.shape
-    lines = [f"{rows},{cols}"]
-    for r in range(rows):
-        lines.append(",".join(_FMT % x for x in mat[r]))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_table(path, mat, *extra) -> None:
+    """Header ``rows,cols[,extra...]``, then one line per row of ``mat``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(str(k) for k in mat.shape + extra) + "\n")
+        np.savetxt(fh, mat, fmt=_FMT, delimiter=",")
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
+def _read_table(path, layout):
+    """(array, header integers) of a table whose header is ``layout``, e.g.
+    ``"rows,cols"``; parsed a row at a time, bad columns sought only on error."""
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines:
         raise ParseError("empty file", line=1)
-    header = text[0].split(",")
-    if len(header) != 2:
-        raise ShapeHeaderMismatch(f"expected 'rows,cols' header, got {text[0]!r}")
+    header = lines[0].split(",")
+    if len(header) != layout.count(",") + 1:
+        raise ShapeHeaderMismatch(f"expected {layout!r} header, got {lines[0]!r}")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        dims = [int(x) for x in header]
     except ValueError as exc:
-        raise ShapeHeaderMismatch(f"non-integer header {text[0]!r}") from exc
-    if len(text) - 1 != rows:
+        raise ShapeHeaderMismatch(f"non-integer header {lines[0]!r}") from exc
+    rows, cols = dims[:2]
+    if len(lines) - 1 != rows:
         raise ShapeHeaderMismatch(
-            f"header promises {rows} rows but file has {len(text) - 1}")
+            f"header promises {rows} rows but file has {len(lines) - 1}")
     out = np.empty((rows, cols))
-    for r, line in enumerate(text[1:], start=2):
+    for r, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != cols:
             raise ParseError(f"row on line {r} has {len(parts)} values, "
                              f"expected {cols}", line=r)
-        for k, item in enumerate(parts):
-            try:
-                out[r - 2, k] = float(item)
-            except ValueError as exc:
-                raise ParseError(f"bad number {item!r} on line {r}",
-                                 line=r, column=k + 1) from exc
-    return out
+        try:
+            out[r - 2] = parts  # numpy parses each item as float() does
+        except ValueError:
+            for k, item in enumerate(parts, start=1):
+                try:
+                    float(item)
+                except ValueError as exc:
+                    raise ParseError(f"bad number {item!r} on line {r}",
+                                     line=r, column=k) from exc
+            raise
+    return out, dims
+
+
+def write_matrix_csv(path, matrix) -> None:
+    _write_table(path, np.atleast_2d(as_matrix(matrix)))
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    return _read_table(path, "rows,cols")[0]
 
 
 def write_vector_csv(path, vector) -> None:
@@ -73,37 +89,14 @@ def read_vector_csv(path) -> np.ndarray:
 
 
 def write_pairs_csv(path, samples: SampleSet) -> None:
-    """Pairs as a matrix CSV of [x | y] rows; the x-dimension is recorded
-    in a trailing header column so the split is self-describing."""
-    xs = samples.xs
-    ys = samples.ys
-    mat = np.concatenate([xs, ys], axis=1)
-    rows, cols = mat.shape
-    lines = [f"{rows},{cols},{xs.shape[1]}"]
-    for r in range(rows):
-        lines.append(",".join(_FMT % x for x in mat[r]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, np.concatenate([samples.xs, samples.ys], axis=1),
+                 samples.xs.shape[1])
 
 
 def read_pairs_csv(path) -> SampleSet:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
-        raise ParseError("empty file", line=1)
-    header = text[0].split(",")
-    if len(header) != 3:
-        raise ShapeHeaderMismatch(
-            f"expected 'rows,cols,dx' header, got {text[0]!r}")
-    rows, cols, dx = (int(x) for x in header)
-    mat = np.empty((rows, cols))
-    if len(text) - 1 != rows:
-        raise ShapeHeaderMismatch(
-            f"header promises {rows} rows but file has {len(text) - 1}")
-    for r, line in enumerate(text[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != cols:
-            raise ParseError(f"row on line {r} has {len(parts)} values, "
-                             f"expected {cols}", line=r)
-        mat[r - 2] = [float(x) for x in parts]
+    mat, (_, cols, dx) = _read_table(path, "rows,cols,dx")
+    if not 1 <= dx < cols:
+        raise ShapeHeaderMismatch(f"pairs header needs 1 <= dx < {cols}, got dx={dx}")
     return SampleSet(xs=mat[:, :dx], ys=mat[:, dx:])
 
 
@@ -189,29 +182,32 @@ def read_checkpoint(path):
 def write_report_json(path, report, config=None) -> None:
     blob = {
         "iterations": report.iterations,
-        "objective_trace": [float(x) for x in np.asarray(report.objective_trace)],
+        "objective_trace": np.asarray(report.objective_trace),
         "rel_err_trace": (None if report.rel_err_trace is None
-                          else [float(x) for x in np.asarray(report.rel_err_trace)]),
+                          else np.asarray(report.rel_err_trace)),
         "feasibility_residual": float(report.feasibility_residual),
         "converged": bool(report.converged),
         "wall_clock_seconds": float(report.wall_clock_seconds),
         "rng": "numpy-PCG64",
-        "extras": {k: _jsonable(v) for k, v in report.extras.items()},
+        "extras": report.extras,
     }
     if config is not None:
-        blob["config"] = {k: _jsonable(v) for k, v in vars(config).items()}
-    Path(path).write_text(json.dumps(blob, indent=1))
+        blob["config"] = vars(config)
+    Path(path).write_text(json.dumps(_jsonable(blob), indent=1, allow_nan=False))
 
 
 def _jsonable(v):
+    """Plain JSON values; non-finite floats become None (null)."""
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, np.ndarray):
-        return [float(x) for x in v.ravel()]
-    if isinstance(v, (np.integer,)):
+        return _jsonable(v.astype(float).ravel().tolist())
+    if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return v

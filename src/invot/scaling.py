@@ -30,8 +30,8 @@ from .types import (
     SolveReport,
     SolverConfig,
     TransportPlan,
+    _error_to,
     as_matrix,
-    relative_error,
 )
 
 _ZERO_SMOOTH_DELTA = 1e-12
@@ -118,7 +118,7 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     c = np.zeros(pihat.shape) if c_init is None else np.array(as_matrix(c_init), dtype=float)
     L = -eps * np.log(pihat)
     alpha, beta = np.zeros(mu.size), np.zeros(nu.size)
-    truth_mat = None if truth is None else as_matrix(truth)
+    rel_err = None if truth is None else _error_to(truth, pihat.shape)
 
     obj_trace = []
     err_trace = []
@@ -142,8 +142,8 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
             with np.errstate(over="ignore"):  # +inf, as in objective_E
                 obj_trace.append(float(-alpha @ mu - beta @ nu + np.vdot(c, pihat)
                                        + eps * Kv.sum()))
-            if truth_mat is not None:
-                err_trace.append(relative_error(c, truth_mat))
+            if rel_err is not None:
+                err_trace.append(rel_err(c))
                 if target_rel_err is not None and err_trace[-1] <= target_rel_err:
                     converged = True
                     break
@@ -158,7 +158,7 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     report = SolveReport(
         iterations=it,
         objective_trace=np.asarray(obj_trace),
-        rel_err_trace=np.asarray(err_trace) if truth_mat is not None else None,
+        rel_err_trace=np.asarray(err_trace) if rel_err is not None else None,
         feasibility_residual=max(float(np.abs(Kv - mu).sum()),
                                  float(np.abs(sweep.K.sum(axis=0) - nu).sum())),
         converged=converged,

@@ -95,8 +95,8 @@ class TransportPlan:
                 f"plan shape {mat.shape} does not match marginals "
                 f"({self.row_marginal.dim}, {self.col_marginal.dim})"
             )
-        if self.feas_tol <= 0:
-            raise DimMismatch("feas_tol must be positive")
+        if not self.feas_tol > 0:
+            raise BadBounds("feas_tol must be positive")
         if np.any(mat < 0):
             i, j = np.unravel_index(int(np.argmin(mat)), mat.shape)
             raise NegativeEntry(f"entry ({i}, {j}) is negative: {mat[i, j]!r}")
@@ -214,11 +214,15 @@ def kl_divergence(obs: TransportPlan, model: TransportPlan) -> float:
 
 def relative_error(c, c_star) -> float:
     """Relative Frobenius error ||c - c*||_F / ||c*||_F."""
-    a = as_matrix(c)
+    return _error_to(c_star, as_matrix(c).shape)(c)
+
+
+def _error_to(c_star, shape):
+    """relative_error(., c_star) for costs of ``shape``; ||c*||_F is computed once."""
     b = as_matrix(c_star)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    if shape != b.shape:
+        raise DimMismatch(f"shape mismatch {shape} vs {b.shape}")
     ref = float(np.linalg.norm(b))
     if ref == 0:
         raise ZeroReference("reference cost has zero Frobenius norm")
-    return float(np.linalg.norm(a - b) / ref)
+    return lambda c: float(np.linalg.norm(as_matrix(c) - b) / ref)

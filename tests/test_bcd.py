@@ -17,6 +17,7 @@ from invot import (
     lipschitz_probe,
     objective_F,
     plan_from_duals,
+    prox_symmetric_zero_diag,
     rate_bound_constant,
     relative_error,
     synth_cost,
@@ -24,6 +25,7 @@ from invot import (
     variation_bounds,
 )
 from invot.bcd import _softmax_plan
+from invot.errors import DimMismatch, ZeroReference
 from invot.scaling import InverseProblem
 from conftest import make_plan, random_plan
 from test_scaling import SYM_NONNEG, forward_plan, problem_from
@@ -306,6 +308,27 @@ class TestBcdSolve:
         bcd = bcd_solve(problem_from(plan, SYM_NONNEG, max_iter=8000,
                                      tol=1e-12), M_c=2.0)
         assert relative_error(bcd.cost, scaled.cost) <= 1e-3
+
+    def test_rel_err_trace_is_relative_error(self, rng):
+        c_star = prox_symmetric_zero_diag(rng.uniform(0.1, 0.9, size=(4, 4)))
+        mu, nu = synth_marginals(4, 4, seed=6)
+        plan = forward_plan(c_star, mu, nu, 1.0)
+        solution = bcd_solve(problem_from(plan, SYM_NONNEG, max_iter=20),
+                             M_c=2.0, truth=c_star)
+        assert solution.report.rel_err_trace[-1] == relative_error(
+            solution.cost, c_star)
+
+    @pytest.mark.parametrize("truth,error", [(np.ones((3, 3)), DimMismatch),
+                                             (np.zeros((4, 4)), ZeroReference)])
+    def test_bad_truth_refused_before_first_iteration(self, rng, monkeypatch,
+                                                       truth, error):
+        def tripwire(state, problem):
+            raise AssertionError("an iteration ran")
+
+        monkeypatch.setattr("invot.bcd.bcd_alpha_update", tripwire)
+        with pytest.raises(error):
+            bcd_solve(problem_from(random_plan(rng, 4, 4), SYM_NONNEG),
+                      truth=truth)
 
     def test_rate_bound_envelope(self, rng):
         problem = problem_from(random_plan(rng, 5, 5), SYM_NONNEG,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from invot import ProbabilityVector, SolverConfig, sinkhorn_solve
+from invot import ProbabilityVector, SampleSet, SolverConfig, sinkhorn_solve
 from invot.cli import main
 from invot.fileio import (
     read_matrix_csv,
@@ -201,3 +201,62 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "relative_error 5.0" in out
         assert "pearson_correlation 1.0" in out
+
+
+def strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestArtifacts:
+    def test_every_report_is_strict_json(self, tmp_path, capsys):
+        synth_forward(tmp_path, n=12)
+        for command in ("inverse", "bcd"):
+            main([command, "--plan", str(tmp_path / "f" / "plan.csv"),
+                  "--constraint", "sym0", "--max-iter", "5",
+                  "--truth", str(tmp_path / "s" / "cost.csv"),
+                  "--out", str(tmp_path / command)])
+        from test_continuous import quadratic_task
+        write_pairs_csv(tmp_path / "pairs.csv", quadratic_task(n_pairs=400))
+        assert main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
+                     "--epochs", "2", "--batch", "100", "--ns", "100",
+                     "--out", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        for out in ("f", "inverse", "bcd", "t"):
+            strict_json(tmp_path / out / "report.json")
+        # training reports no feasibility residual: NaN, written as null
+        assert strict_json(tmp_path / "t" / "report.json")[
+            "feasibility_residual"] is None
+
+    @pytest.mark.parametrize("command,bad", [
+        ("forward", "cost"), ("inverse", "plan"), ("bcd", "plan"),
+        ("train-continuous", "pairs"), ("eval", "cost"), ("inverse", "G")])
+    def test_malformed_csv_is_input_error(self, tmp_path, capsys, command, bad):
+        write_problem(tmp_path, np.zeros((2, 2)), np.full(2, 0.5),
+                      np.full(2, 0.5))
+        write_matrix_csv(tmp_path / "plan.csv", np.full((2, 2), 0.25))
+        write_matrix_csv(tmp_path / "G.csv", np.eye(2))
+        write_pairs_csv(tmp_path / "pairs.csv",
+                        SampleSet(xs=np.zeros((2, 1)), ys=np.ones((2, 1))))
+        header = "2,2,1" if bad == "pairs" else "2,2"
+        (tmp_path / f"{bad}.csv").write_text(f"{header}\n0.25,0.25\n0.25,oops\n")
+        f = {name: str(tmp_path / f"{name}.csv")
+             for name in ("cost", "mu", "nu", "plan", "G", "pairs")}
+        argv = {
+            "forward": ["--cost", f["cost"], "--mu", f["mu"], "--nu", f["nu"]],
+            "inverse": ["--plan", f["plan"],
+                        "--constraint", f"affinity:{f['G']}:{f['G']}:+"],
+            "bcd": ["--plan", f["plan"]],
+            "train-continuous": ["--pairs", f["pairs"], "--epochs", "1"],
+            "eval": ["--cost", f["cost"], "--truth", f["cost"]],
+        }[command]
+        out = [] if command == "eval" else ["--out", str(tmp_path / "o")]
+        assert main([command] + argv + out) == 1
+        assert "on line 3" in capsys.readouterr().err
+
+    def test_bench_suite_option_removed(self, tmp_path, capsys):
+        code = main(["bench", "--suite", "fig1", "--out", str(tmp_path / "b")])
+        capsys.readouterr()
+        assert code == 1

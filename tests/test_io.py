@@ -51,6 +51,15 @@ class TestMatrixCsv:
         with pytest.raises(ShapeHeaderMismatch):
             read_matrix_csv(path)
 
+    def test_seventeen_digit_layout(self, tmp_path):
+        # 17 significant digits, not the shortest repr
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, [[0.1, 1 / 3, -0.0], [1e-300, 5e-324, 2.0]])
+        assert path.read_text() == (
+            "2,3\n"
+            "0.10000000000000001,0.33333333333333331,-0\n"
+            "1e-300,4.9406564584124654e-324,2\n")
+
 
 class TestVectorCsv:
     def test_round_trip_bitwise(self, tmp_path, rng):
@@ -69,6 +78,33 @@ class TestPairsCsv:
         back = read_pairs_csv(path)
         assert np.array_equal(back.xs, samples.xs)
         assert np.array_equal(back.ys, samples.ys)
+
+    def test_header_line(self, tmp_path, rng):
+        path = tmp_path / "p.csv"
+        write_pairs_csv(path, SampleSet(xs=rng.normal(size=(4, 1)),
+                                        ys=rng.normal(size=(4, 2))))
+        assert path.read_text().splitlines()[0] == "4,3,1"
+
+    @pytest.mark.parametrize("header", ["2,2,x", "2,2.0,1"])
+    def test_non_integer_header(self, tmp_path, header):
+        path = tmp_path / "p.csv"
+        path.write_text(f"{header}\n1,2\n3,4\n")
+        with pytest.raises(ShapeHeaderMismatch):
+            read_pairs_csv(path)
+
+    def test_bad_number_names_position(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("2,2,1\n1,2\n3,oops\n")
+        with pytest.raises(ParseError) as err:
+            read_pairs_csv(path)
+        assert err.value.line == 3 and err.value.column == 2
+
+    @pytest.mark.parametrize("dx", [0, 2, 3, -1])
+    def test_dx_outside_columns(self, tmp_path, dx):
+        path = tmp_path / "p.csv"
+        path.write_text(f"2,2,{dx}\n1,2\n3,4\n")
+        with pytest.raises(ShapeHeaderMismatch):
+            read_pairs_csv(path)
 
 
 class TestCheckpoint:
@@ -111,3 +147,23 @@ class TestReportJson:
         assert blob["rng"] == "numpy-PCG64"
         assert blob["converged"] is True
         assert blob["extras"]["log_domain"] is True
+
+    def test_non_finite_numbers_written_as_null(self, tmp_path):
+        report = SolveReport(iterations=2,
+                             objective_trace=np.array([np.inf, 1.0]),
+                             rel_err_trace=np.array([np.nan, 0.5]),
+                             feasibility_residual=float("nan"),
+                             converged=False, wall_clock_seconds=0.1,
+                             extras={"bound": -np.inf, "trace": [1.0, np.nan]})
+        path = tmp_path / "r.json"
+        write_report_json(path, report, TrainConfig(nominal_epsilon=np.inf))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        blob = json.loads(path.read_text(), parse_constant=reject)
+        assert blob["objective_trace"] == [None, 1.0]
+        assert blob["rel_err_trace"] == [None, 0.5]
+        assert blob["feasibility_residual"] is None
+        assert blob["extras"] == {"bound": None, "trace": [1.0, None]}
+        assert blob["config"]["nominal_epsilon"] is None

@@ -22,7 +22,7 @@ from invot import (
     synth_cost,
     synth_marginals,
 )
-from invot.errors import ZeroObservation
+from invot.errors import DimMismatch, ZeroObservation, ZeroReference
 from invot.sinkhorn import _plan_residual
 from conftest import make_plan, random_plan
 
@@ -219,6 +219,27 @@ class TestLearnCost:
                                       plan.col_marginal.values, eps)
             assert solution.report.feasibility_residual == pytest.approx(
                 residual, rel=1e-12, abs=1e-12)
+
+    def test_rel_err_trace_is_relative_error(self, rng):
+        c_star = prox_symmetric_zero_diag(rng.uniform(0.05, 1.0, size=(6, 6)))
+        mu, nu = synth_marginals(6, 6, seed=5)
+        plan = forward_plan(c_star, mu, nu, 0.5)
+        for k in range(1, 4):
+            solution = learn_cost(problem_from(plan, eps=0.5, max_iter=k),
+                                  truth=c_star)
+            assert solution.report.rel_err_trace[-1] == relative_error(
+                solution.cost, c_star)
+
+    @pytest.mark.parametrize("truth,error", [(np.ones((3, 3)), DimMismatch),
+                                             (np.zeros((4, 4)), ZeroReference)])
+    def test_bad_truth_refused_before_first_iteration(self, rng, truth, error):
+        class Tripwire(NoConstraint):
+            def prox(self, chat):
+                raise AssertionError("an iteration ran")
+
+        with pytest.raises(error):
+            learn_cost(problem_from(random_plan(rng, 4, 4), Tripwire()),
+                       truth=truth)
 
     def test_recovery_consistency_across_sizes(self, rng):
         for n in range(3, 11):

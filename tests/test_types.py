@@ -90,6 +90,11 @@ class TestRangeChecks:
         with pytest.raises(BadBounds):
             DualPotentials(np.zeros(2), np.zeros(2), epsilon=0.0)
 
+    @pytest.mark.parametrize("feas_tol", [0.0, -1e-9, np.nan])
+    def test_plan_feas_tol_out_of_range(self, feas_tol):
+        with pytest.raises(BadBounds):
+            TransportPlan(np.full((2, 2), 0.25), half, half, feas_tol=feas_tol)
+
     def test_dual_shape_error_keeps_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             DualPotentials(np.zeros((2, 2)), np.zeros(2), epsilon=1.0)
