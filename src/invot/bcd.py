@@ -140,7 +140,7 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, c_init=None,
     """Run Algorithm-3-style BCD; psi trace is recorded every iteration.
 
     ``state_log``, when supplied, receives a copy of the state at every
-    logged iteration (used by the boundedness checks).
+    iteration (used by the boundedness checks).
     """
     if M_c <= 0:
         raise BadBounds("M_c must be positive")
@@ -167,7 +167,7 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, c_init=None,
         psi.append(objective_F(state.alpha, state.beta, state.cost, problem))
         if rel_err is not None:
             err_trace.append(rel_err(state.cost))
-        if state_log is not None and it % problem.config.log_every == 0:
+        if state_log is not None:
             state_log.append(replace(state, psi_trace=tuple(psi)))
         if float(np.linalg.norm(state.cost - c_prev)) <= problem.config.tol:
             converged = True

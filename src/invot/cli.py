@@ -9,7 +9,6 @@ embed the resolved configuration and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -45,6 +44,7 @@ from .fileio import (
     read_pairs_csv,
     read_vector_csv,
     write_checkpoint,
+    write_json,
     write_matrix_csv,
     write_report_json,
     write_vector_csv,
@@ -60,6 +60,12 @@ def _outdir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_config(out: Path, args) -> None:
+    """The parsed arguments, without the handler, as config.json."""
+    write_json(out / "config.json",
+               {k: v for k, v in vars(args).items() if k != "func"})
 
 
 def _parse_constraints(specs):
@@ -93,7 +99,7 @@ def cmd_synth(args) -> int:
     write_matrix_csv(out / "cost.csv", cost)
     write_vector_csv(out / "mu.csv", mu)
     write_vector_csv(out / "nu.csv", nu)
-    (out / "config.json").write_text(json.dumps(vars(args), default=str, indent=1))
+    _write_config(out, args)
     return EXIT_OK
 
 
@@ -140,7 +146,7 @@ def cmd_inverse(args) -> int:
     out = _outdir(args.out)
     problem = _load_inverse_problem(args)
     truth = read_matrix_csv(args.truth) if args.truth else None
-    if args.algo == "bcd":
+    if args.command == "bcd":
         solution = bcd_solve(problem, M_c=args.mc, truth=truth)
     else:
         solution = learn_cost(problem, truth=truth)
@@ -192,7 +198,7 @@ def cmd_bench(args) -> int:
                 iters.append(sol.report.iterations)
             rows.append([n, eps, float(np.mean(times)), float(np.mean(iters))])
     write_matrix_csv(out / "bench.csv", np.array(rows))
-    (out / "config.json").write_text(json.dumps(vars(args), default=str, indent=1))
+    _write_config(out, args)
     return EXIT_NOT_CONVERGED if failed else EXIT_OK
 
 
@@ -294,18 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_forward)
 
-    for name in ("inverse", "bcd"):
-        p = sub.add_parser(name, help="recover a cost matrix from a plan")
+    for name, method in (("inverse", "matrix scaling"),
+                         ("bcd", "block coordinate descent")):
+        p = sub.add_parser(name, help=f"recover a cost matrix from a plan by {method}")
         p.add_argument("--plan", required=True)
         p.add_argument("--constraint", action="append",
                        help="sym0 | box:LO:HI | affinity:GFILE:DFILE:+|-")
-        p.add_argument("--algo", choices=["scaling", "bcd"],
-                       default="bcd" if name == "bcd" else "scaling")
         p.add_argument("--epsilon", type=float, default=1.0)
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--max-iter", type=int, default=2000)
-        p.add_argument("--mc", type=float, default=2.0,
-                       help="cost box bound for the bcd algorithm")
+        if name == "bcd":
+            p.add_argument("--mc", type=float, default=2.0, help="cost box bound")
         p.add_argument("--truth", default=None)
         p.add_argument("--smooth-zeros", action="store_true")
         p.add_argument("--out", required=True)

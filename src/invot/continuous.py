@@ -3,19 +3,22 @@
 Three small networks (alpha on x, beta on y, cost on a pair feature) are
 trained jointly with Adam on the sampled loss
 
-    L = R(c) - mean alpha(x_i) - mean beta(y_j) + mean c(x_k, y_k)
+    L = R(c) - mean alpha(x_k) - mean beta(y_k) + mean c(x_k, y_k)
         + integral of e^{alpha(x) + beta(y) - c(x, y)} over the domain,
 
-with the integral estimated by Monte Carlo over fresh collocation points each
-step. Training runs at eps = 1 internally; the learned cost is c/eps of the
+with the means over a batch of pairs (x_k, y_k), R(c) an optional
+regularizer of the cost net, and the integral estimated by Monte Carlo over
+fresh collocation points each step. A step stacks the collocation points
+below the pair batch, so each net runs one forward and one backward pass.
+Training runs at eps = 1 internally; the learned cost is c/eps of the
 generating problem and can be rescaled by the nominal eps afterwards.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,12 +64,10 @@ class CostParameterization:
 
 @dataclass
 class SampleSet:
-    """Paired observations plus optional separate marginal samples."""
+    """Paired observations (x_k, y_k), one row per pair."""
 
     xs: np.ndarray
     ys: np.ndarray
-    x_samples: Optional[np.ndarray] = None
-    y_samples: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
@@ -75,14 +76,6 @@ class SampleSet:
             raise DimMismatch("paired samples must be nonempty and aligned")
         if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
             raise DimMismatch("sample coordinates must be finite")
-        if self.x_samples is None:
-            self.x_samples = self.xs
-        else:
-            self.x_samples = np.atleast_2d(np.asarray(self.x_samples, dtype=float))
-        if self.y_samples is None:
-            self.y_samples = self.ys
-        else:
-            self.y_samples = np.atleast_2d(np.asarray(self.y_samples, dtype=float))
 
     @property
     def n_pairs(self) -> int:
@@ -199,14 +192,6 @@ def eval_cost_on_grid(cost: CostParameterization, grid_x, grid_y) -> np.ndarray:
     return cost.evaluate(grid_x, grid_y)
 
 
-def _accumulate(target: List[np.ndarray], grads: List[np.ndarray]):
-    if not target:
-        target.extend(grads)
-    else:
-        for i, g in enumerate(grads):
-            target[i] = target[i] + g
-
-
 def train(samples: SampleSet, cost: CostParameterization,
           alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
           config: TrainConfig,
@@ -214,93 +199,59 @@ def train(samples: SampleSet, cost: CostParameterization,
               FeedForwardNet, FeedForwardNet, CostParameterization, SolveReport]:
     """Minimize the sampled loss with Adam; deterministic per seed.
 
-    ``regularizer``, when given, is called with the cost net and must return
-    (value, grads aligned with cost.net.parameters()).
+    ``regularizer``, when given, is R(c): it is called with the cost net and
+    must return (value, grads aligned with cost.net.parameters()).
     """
     rng = np.random.default_rng(config.seed)
     d_x = alpha_net.input_dim
     box = list(config.domain_box)
     vol = _box_volume(box)
     n = samples.n_pairs
-    n_mu = samples.x_samples.shape[0]
-    n_nu = samples.y_samples.shape[0]
     batch = config.batch_size if config.batch_size > 0 else n
     steps_per_epoch = max(1, int(np.ceil(n / batch)))
 
-    states = {
-        "alpha": AdamState.zeros_like(alpha_net.parameters()),
-        "beta": AdamState.zeros_like(beta_net.parameters()),
-        "cost": AdamState.zeros_like(cost.net.parameters()),
-    }
+    nets = (alpha_net, beta_net, cost.net)
+    states = [AdamState.zeros_like(net.parameters()) for net in nets]
     epoch_losses = []
     t0 = time.perf_counter()
-    for _epoch in range(config.epochs):
+    for epoch in range(config.epochs):
         losses = []
         for _step in range(steps_per_epoch):
-            if batch >= n:
-                pi = np.arange(n)
-            else:
-                pi = rng.integers(0, n, size=batch)
-            bi_mu = pi if n_mu == n else rng.integers(0, n_mu, size=min(batch, n_mu))
-            bi_nu = pi if n_nu == n else rng.integers(0, n_nu, size=min(batch, n_nu))
-            xb = samples.x_samples[bi_mu]
-            yb = samples.y_samples[bi_nu]
-            px = samples.xs[pi]
-            py = samples.ys[pi]
-            col = _sample_box(box, config.n_collocation, rng)
-            cx, cy = _split_xy(col, d_x)
-
-            a_mu, cache_a_mu = alpha_net.forward_batch(xb)
-            b_nu, cache_b_nu = beta_net.forward_batch(yb)
-            c_pair, cache_c_pair = cost.net.forward_batch(cost.features(px, py))
-            a_col, cache_a_col = alpha_net.forward_batch(cx)
-            b_col, cache_b_col = beta_net.forward_batch(cy)
-            c_col, cache_c_col = cost.net.forward_batch(cost.features(cx, cy))
+            pi = np.arange(n) if batch >= n else rng.integers(0, n, size=batch)
+            cx, cy = _split_xy(_sample_box(box, config.n_collocation, rng), d_x)
+            x = np.concatenate([samples.xs[pi], cx])
+            y = np.concatenate([samples.ys[pi], cy])
+            k = len(pi)  # rows [:k] are pairs, rows [k:] collocation points
+            (a, cache_a), (b, cache_b), (c, cache_c) = (
+                alpha_net.forward_batch(x), beta_net.forward_batch(y),
+                cost.net.forward_batch(cost.features(x, y)))
 
             with np.errstate(over="ignore"):
-                g_vals = np.exp(a_col + b_col - c_col)
+                g_vals = np.exp(a[k:] + b[k:] - c[k:])
             integral = vol * float(np.mean(g_vals))
-            reg_value = 0.0
-            reg_grads = None
+            reg_value, reg_grads = 0.0, None
             if regularizer is not None:
                 reg_value, reg_grads = regularizer(cost.net)
-            loss = (reg_value - float(np.mean(a_mu)) - float(np.mean(b_nu))
-                    + float(np.mean(c_pair)) + integral)
+            loss = (reg_value - float(np.mean(a[:k])) - float(np.mean(b[:k]))
+                    + float(np.mean(c[:k])) + integral)
             if not np.isfinite(loss) or abs(loss) > _DIVERGENCE_CAP:
-                raise Diverged(f"loss {loss!r} at epoch {_epoch}")
+                raise Diverged(f"loss {loss!r} at epoch {epoch}")
             losses.append(loss)
 
-            w_col = (vol / config.n_collocation) * g_vals
-            grads_a: List[np.ndarray] = []
-            _accumulate(grads_a, alpha_net.backward_batch(
-                cache_a_mu, -np.ones(len(xb)) / len(xb)))
-            _accumulate(grads_a, alpha_net.backward_batch(cache_a_col, w_col))
-            grads_b: List[np.ndarray] = []
-            _accumulate(grads_b, beta_net.backward_batch(
-                cache_b_nu, -np.ones(len(yb)) / len(yb)))
-            _accumulate(grads_b, beta_net.backward_batch(cache_b_col, w_col))
-            grads_c: List[np.ndarray] = []
-            _accumulate(grads_c, cost.net.backward_batch(
-                cache_c_pair, np.ones(len(px)) / len(px)))
-            _accumulate(grads_c, cost.net.backward_batch(cache_c_col, -w_col))
+            # d loss / d output: -1/k on pairs and w_col on collocation points
+            # for alpha and beta, the negation of both for the cost
+            w = np.concatenate([np.full(k, -1.0 / k),
+                                (vol / config.n_collocation) * g_vals])
+            grads = [alpha_net.backward_batch(cache_a, w),
+                     beta_net.backward_batch(cache_b, w),
+                     cost.net.backward_batch(cache_c, -w)]
             if reg_grads is not None:
-                _accumulate(grads_c, reg_grads)
-
-            new_a, states["alpha"] = adam_step(
-                alpha_net.parameters(), grads_a, states["alpha"],
-                lr=config.learning_rate, betas=config.adam_betas,
-                eps=config.adam_eps)
-            alpha_net.set_parameters(new_a)
-            new_b, states["beta"] = adam_step(
-                beta_net.parameters(), grads_b, states["beta"],
-                lr=config.learning_rate, betas=config.adam_betas,
-                eps=config.adam_eps)
-            beta_net.set_parameters(new_b)
-            new_c, states["cost"] = adam_step(
-                cost.net.parameters(), grads_c, states["cost"],
-                lr=config.learning_rate, betas=config.adam_betas,
-                eps=config.adam_eps)
-            cost.net.set_parameters(new_c)
+                grads[2] = [g + r for g, r in zip(grads[2], reg_grads)]
+            for net, g, state in zip(nets, grads, states):
+                new, _ = adam_step(net.parameters(), g, state,
+                                   lr=config.learning_rate,
+                                   betas=config.adam_betas, eps=config.adam_eps)
+                net.set_parameters(new)
         epoch_losses.append(float(np.mean(losses)))
 
     report = SolveReport(

@@ -193,6 +193,11 @@ def write_report_json(path, report, config=None) -> None:
     }
     if config is not None:
         blob["config"] = vars(config)
+    write_json(path, blob)
+
+
+def write_json(path, blob) -> None:
+    """Strict JSON: numpy values as plain ones, non-finite floats as null."""
     Path(path).write_text(json.dumps(_jsonable(blob), indent=1, allow_nan=False))
 
 

@@ -2,8 +2,9 @@
 
 Hidden layers use tanh; the output layer is a single unit with a relu,
 identity, or softplus activation. The relu subgradient at 0 is 0. Gradients
-are computed by reverse-mode accumulation over cached pre-activations, which
-keeps training free of any autodiff dependency and bitwise deterministic.
+are computed by reverse-mode accumulation over the cached hidden activations
+(tanh' = 1 - tanh^2) and the output pre-activation, which keeps training free
+of any autodiff dependency and bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -83,28 +84,27 @@ class FeedForwardNet:
             raise DimMismatch(
                 f"input dim {X.shape[1]} does not match net input {self.input_dim}")
         acts = [X]
-        a = X
         last = len(self.weights) - 1
-        pre = []
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            pre.append(z)
-            a = _out_act(z, self.output_activation) if k == last else np.tanh(z)
-            acts.append(a)
-        return a[:, 0], (acts, pre)
+            z = acts[-1] @ w.T
+            z += b
+            if k < last:  # backward needs only tanh(z), so z is overwritten
+                acts.append(np.tanh(z, out=z))
+        return _out_act(z, self.output_activation)[:, 0], (acts, z)
 
     def backward_batch(self, cache, out_weights: np.ndarray) -> List[np.ndarray]:
         """Gradients of sum_k out_weights[k] * output_k w.r.t. parameters."""
-        acts, pre = cache
+        acts, z = cache
         last = len(self.weights) - 1
         delta = (np.asarray(out_weights, dtype=float)[:, None]
-                 * _out_act_grad(pre[last], self.output_activation))
+                 * _out_act_grad(z, self.output_activation))
         grads: List[np.ndarray] = [None] * (2 * len(self.weights))
         for k in range(last, -1, -1):
             grads[2 * k] = delta.T @ acts[k]
             grads[2 * k + 1] = delta.sum(axis=0)
             if k > 0:
-                delta = (delta @ self.weights[k]) * (1.0 - np.tanh(pre[k - 1]) ** 2)
+                delta = delta @ self.weights[k]
+                delta *= 1.0 - acts[k] ** 2
         return grads
 
 

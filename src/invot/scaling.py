@@ -138,15 +138,14 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
         c = c_new
         sweep = _Sweep(c, mu, nu, eps, alpha, beta)
         Kv = sweep.K @ sweep.v
-        if it % problem.config.log_every == 0 or delta <= problem.config.tol:
-            with np.errstate(over="ignore"):  # +inf, as in objective_E
-                obj_trace.append(float(-alpha @ mu - beta @ nu + np.vdot(c, pihat)
-                                       + eps * Kv.sum()))
-            if rel_err is not None:
-                err_trace.append(rel_err(c))
-                if target_rel_err is not None and err_trace[-1] <= target_rel_err:
-                    converged = True
-                    break
+        with np.errstate(over="ignore"):  # +inf, as in objective_E
+            obj_trace.append(float(-alpha @ mu - beta @ nu + np.vdot(c, pihat)
+                                   + eps * Kv.sum()))
+        if rel_err is not None:
+            err_trace.append(rel_err(c))
+            if target_rel_err is not None and err_trace[-1] <= target_rel_err:
+                converged = True
+                break
         if delta <= problem.config.tol:
             converged = True
             break

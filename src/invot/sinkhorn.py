@@ -176,9 +176,8 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
         Kv = sweep.K @ sweep.v
         residual = max(float(np.abs(sweep.u * Kv - mu.values).sum()),
                        float(np.abs(sweep.v * Ktu - nu.values).sum()))
-        if it % config.log_every == 0 or residual <= config.tol:
-            obj_trace.append(_dual_value(*sweep.duals(), mu, nu, eps, sweep.u @ Kv))
-            res_trace.append(residual)
+        obj_trace.append(_dual_value(*sweep.duals(), mu, nu, eps, sweep.u @ Kv))
+        res_trace.append(residual)
         if residual <= config.tol:
             converged = True
             break

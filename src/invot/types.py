@@ -165,12 +165,10 @@ class SolverConfig:
     epsilon: float = 1.0
     max_iter: int = 1000
     tol: float = 1e-9
-    log_every: int = 1
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and self.max_iter > 0 and 0 < self.tol < 1
-                and self.log_every > 0):
-            raise BadBounds("epsilon, max_iter, log_every must be positive, tol in (0, 1)")
+        if not (self.epsilon > 0 and self.max_iter > 0 and 0 < self.tol < 1):
+            raise BadBounds("epsilon, max_iter must be positive, tol in (0, 1)")
 
 
 @dataclass

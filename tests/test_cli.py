@@ -69,6 +69,29 @@ class TestForwardCommand:
         assert (tmp_path / "out" / "report.json").exists()
 
 
+class TestSynthCommand:
+    def test_config_is_reproducible(self, tmp_path):
+        argv = ["synth", "--n", "6", "--seed", "3", "--out", str(tmp_path / "s")]
+        configs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            configs.append((tmp_path / "s" / "config.json").read_bytes())
+        assert configs[0] == configs[1]
+        assert "func" not in json.loads(configs[0])
+
+    def test_non_finite_argument_is_strict_json(self, tmp_path):
+        assert main(["synth", "--n", "6", "--epsilon", "inf",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert strict_json(tmp_path / "s" / "config.json")["epsilon"] is None
+
+    @pytest.mark.parametrize("n,with_out", [("1", True), ("6", False)])
+    def test_bad_arguments_are_input_errors(self, tmp_path, capsys, n, with_out):
+        out = ["--out", str(tmp_path / "s")] if with_out else []
+        code = main(["synth", "--n", n] + out)
+        capsys.readouterr()
+        assert code == 1
+
+
 def synth_forward(tmp_path, n=30, p=2.0, eps=0.5, seed=0):
     assert main(["synth", "--n", str(n), "--p", str(p), "--seed", str(seed),
                  "--out", str(tmp_path / "s")]) == 0
@@ -94,15 +117,23 @@ class TestInverseCommand:
 
     def test_bcd_agrees_with_scaling(self, tmp_path):
         synth_forward(tmp_path, n=12)
-        for algo, out in (("scaling", "a"), ("bcd", "b")):
-            assert main(["inverse", "--plan", str(tmp_path / "f" / "plan.csv"),
+        for command, out in (("inverse", "a"), ("bcd", "b")):
+            assert main([command, "--plan", str(tmp_path / "f" / "plan.csv"),
                          "--constraint", "sym0", "--constraint", "box:0:inf",
-                         "--algo", algo, "--epsilon", "0.5",
+                         "--epsilon", "0.5",
                          "--max-iter", "4000", "--tol", "1e-9",
                          "--out", str(tmp_path / out)]) == 0
         a = read_matrix_csv(tmp_path / "a" / "cost.csv")
         b = read_matrix_csv(tmp_path / "b" / "cost.csv")
         assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-3
+
+    @pytest.mark.parametrize("option", [["--algo", "bcd"], ["--mc", "2"]])
+    def test_inverse_rejects_bcd_options(self, tmp_path, capsys, option):
+        write_matrix_csv(tmp_path / "plan.csv", np.full((2, 2), 0.25))
+        code = main(["inverse", "--plan", str(tmp_path / "plan.csv"),
+                     "--out", str(tmp_path / "i")] + option)
+        capsys.readouterr()
+        assert code == 1
 
     @pytest.mark.parametrize("command", ["inverse", "bcd"])
     def test_not_converged_exit_code(self, tmp_path, capsys, command):

@@ -318,3 +318,129 @@ class TestTrain:
                              domain_box=UNIT_BOX)
         with pytest.raises(Diverged):
             train(samples, cost, alpha, beta, config)
+
+
+def six_pass_train(samples, cost, alpha, beta, config):
+    """Reference training loop: pairs and collocation points pass through
+    each net separately (six forward and six backward passes per step)."""
+    from invot.continuous import _box_volume, _sample_box
+    from invot.nets import AdamState, adam_step
+
+    rng = np.random.default_rng(config.seed)
+    vol = _box_volume(config.domain_box)
+    n = samples.n_pairs
+    batch = config.batch_size if config.batch_size > 0 else n
+    nets = (alpha, beta, cost.net)
+    states = [AdamState.zeros_like(net.parameters()) for net in nets]
+    epoch_losses = []
+    for _ in range(config.epochs):
+        losses = []
+        for _ in range(max(1, int(np.ceil(n / batch)))):
+            pi = np.arange(n) if batch >= n else rng.integers(0, n, size=batch)
+            col = _sample_box(config.domain_box, config.n_collocation, rng)
+            px, py = samples.xs[pi], samples.ys[pi]
+            cx, cy = col[:, :1], col[:, 1:]
+            a, ca = alpha.forward_batch(px)
+            b, cb = beta.forward_batch(py)
+            c, cc = cost.net.forward_batch(cost.features(px, py))
+            a2, ca2 = alpha.forward_batch(cx)
+            b2, cb2 = beta.forward_batch(cy)
+            c2, cc2 = cost.net.forward_batch(cost.features(cx, cy))
+            g_vals = np.exp(a2 + b2 - c2)
+            losses.append(-np.mean(a) - np.mean(b) + np.mean(c)
+                          + vol * np.mean(g_vals))
+            w_col = (vol / config.n_collocation) * g_vals
+            pair = np.ones(len(pi)) / len(pi)
+            grads = [
+                [g + h for g, h in zip(alpha.backward_batch(ca, -pair),
+                                       alpha.backward_batch(ca2, w_col))],
+                [g + h for g, h in zip(beta.backward_batch(cb, -pair),
+                                       beta.backward_batch(cb2, w_col))],
+                [g + h for g, h in zip(cost.net.backward_batch(cc, pair),
+                                       cost.net.backward_batch(cc2, -w_col))],
+            ]
+            for net, g, state in zip(nets, grads, states):
+                new, _ = adam_step(net.parameters(), g, state,
+                                   lr=config.learning_rate,
+                                   betas=config.adam_betas, eps=config.adam_eps)
+                net.set_parameters(new)
+        epoch_losses.append(np.mean(losses))
+    return np.asarray(epoch_losses)
+
+
+def parameters(nets):
+    cost, alpha, beta = nets
+    return cost.net.parameters() + alpha.parameters() + beta.parameters()
+
+
+class TestTrainStep:
+    config = TrainConfig(learning_rate=1e-3, batch_size=100, n_collocation=80,
+                         epochs=3, seed=4, domain_box=UNIT_BOX)
+
+    def test_matches_six_pass_reference(self):
+        samples = quadratic_task(n_pairs=200)
+        got_nets = small_nets(seed=3)
+        ref_nets = small_nets(seed=3)
+        report = train(samples, *got_nets, self.config)[3]
+        ref_losses = six_pass_train(samples, *ref_nets, self.config)
+        np.testing.assert_allclose(report.objective_trace, ref_losses,
+                                   rtol=1e-12, atol=0)
+        for p, q in zip(parameters(got_nets), parameters(ref_nets)):
+            np.testing.assert_allclose(p, q, rtol=1e-12, atol=0)
+
+    def test_one_forward_and_backward_pass_per_net_per_step(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name):
+            method = getattr(FeedForwardNet, f"{name}_batch")
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        samples = quadratic_task(n_pairs=200)
+        nets = small_nets(seed=3)
+        for name in calls:
+            monkeypatch.setattr(FeedForwardNet, f"{name}_batch", counted(name))
+        report = train(samples, *nets, self.config)[3]
+        assert report.iterations == 6
+        assert calls == {"forward": 3 * 6, "backward": 3 * 6}
+
+    def test_constant_regularizer_shifts_loss_only(self):
+        samples = quadratic_task(n_pairs=200)
+        plain = small_nets(seed=3)
+        shifted = small_nets(seed=3)
+        base = train(samples, *plain, self.config)[3].objective_trace
+
+        def constant(net):
+            return 0.3, [np.zeros_like(p) for p in net.parameters()]
+
+        got = train(samples, *shifted, self.config,
+                    regularizer=constant)[3].objective_trace
+        np.testing.assert_allclose(got - base, 0.3, rtol=0, atol=1e-12)
+        for p, q in zip(parameters(plain), parameters(shifted)):
+            assert np.array_equal(p, q)
+
+    def test_l2_regularizer_moves_only_the_cost_net(self):
+        samples = quadratic_task(n_pairs=200)
+        one_step = TrainConfig(learning_rate=1e-3, n_collocation=80, epochs=1,
+                               seed=4, domain_box=UNIT_BOX)
+        plain = small_nets(seed=3)
+        reg = small_nets(seed=3)
+
+        def l2(net):
+            params = net.parameters()
+            return (0.5 * sum(float(np.sum(p * p)) for p in params),
+                    [p.copy() for p in params])
+
+        plain_loss = train(samples, *plain, one_step)[3].objective_trace
+        reg_loss = train(samples, *reg, one_step, regularizer=l2)[3].objective_trace
+        assert reg_loss[0] > plain_loss[0]
+        cost_plain, alpha_plain, beta_plain = plain
+        cost_reg, alpha_reg, beta_reg = reg
+        for a, b in ((alpha_plain, alpha_reg), (beta_plain, beta_reg)):
+            for p, q in zip(a.parameters(), b.parameters()):
+                assert np.array_equal(p, q)
+        assert not all(np.array_equal(p, q) for p, q in zip(
+            cost_plain.net.parameters(), cost_reg.net.parameters()))

@@ -81,7 +81,7 @@ class TestValidatePlan:
 class TestRangeChecks:
     @pytest.mark.parametrize("field,value", [
         ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", np.nan),
-        ("max_iter", 0), ("tol", 0.0), ("tol", 1.0), ("log_every", 0)])
+        ("max_iter", 0), ("tol", 0.0), ("tol", 1.0)])
     def test_solver_config_out_of_range(self, field, value):
         with pytest.raises(BadBounds):
             SolverConfig(**{field: value})
