@@ -238,13 +238,14 @@ def cmd_train_continuous(args) -> int:
     trace = np.column_stack([np.arange(1, len(report.objective_trace) + 1),
                              report.objective_trace])
     write_matrix_csv(out / "loss-trace.csv", trace)
-    write_matrix_csv(out / "grid-eval.csv", _grid_eval(cost, box, d_x))
     write_report_json(out / "report.json", report, config)
+    if (grid := _grid_eval(cost, box, d_x)) is not None:
+        write_matrix_csv(out / "grid-eval.csv", grid)
     return EXIT_OK
 
 
 def _grid_eval(cost: CostParameterization, box, d_x, points: int = 100):
-    """Grid evaluation rows; for 1-d features: (feature value, cost)."""
+    """Grid rows, e.g. (feature value, cost) for 1-d features; None if no layout fits."""
     if cost.net.input_dim == 1 and cost.input_mode in ("absdiff", "scaleddiff"):
         los = np.array([b[0] for b in box])
         his = np.array([b[1] for b in box])
@@ -263,7 +264,7 @@ def _grid_eval(cost: CostParameterization, box, d_x, points: int = 100):
         vals = eval_cost_on_grid(cost, xx.ravel().reshape(-1, 1),
                                  yy.ravel().reshape(-1, 1))
         return np.column_stack([xx.ravel(), yy.ravel(), vals])
-    raise ValueError("no grid layout defined for this input mode/dimension")
+    print("no grid layout for this input; grid-eval.csv not written", file=sys.stderr)
 
 
 def cmd_eval(args) -> int:

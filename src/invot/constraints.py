@@ -1,7 +1,8 @@
 """Cost constraints and their proximal operators.
 
 All constraints used here are indicator functions of convex sets, so each
-prox is an orthogonal projection and takes no step size.
+prox is an orthogonal projection and takes no step size. The linear ones
+also write prox(alpha_i + beta_j) in closed form (`prox_sum`).
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadBounds, NonSquare, RankDeficient
-from .types import as_matrix
+from .types import _outer_sum, as_matrix
 
 
 def prox_symmetric_zero_diag(chat) -> np.ndarray:
@@ -24,9 +25,7 @@ def prox_symmetric_zero_diag(chat) -> np.ndarray:
 
 def prox_box(chat, lower: float, upper: float) -> np.ndarray:
     """Entrywise clamp to [lower, upper]."""
-    if not lower <= upper:
-        raise BadBounds(f"lower {lower} exceeds upper {upper}")
-    return np.clip(as_matrix(chat), lower, upper)
+    return Box(lower, upper).prox(chat)
 
 
 def _check_full_row_rank(mat, name):
@@ -42,20 +41,9 @@ def _check_full_row_rank(mat, name):
 
 
 def prox_linear_affinity(chat, G, D, sign: int = 1):
-    """Least-squares projection of chat onto {sign * G^T A D}.
-
-    Returns (projected cost, affinity matrix A). G (p x m) and D (q x n) must
-    have full row rank; A = sign * (G^+)^T chat D^+ and c = sign * G^T A D.
-    """
-    if sign not in (1, -1):
-        raise BadBounds("sign convention must be +1 or -1")
-    c = as_matrix(chat)
-    G = _check_full_row_rank(G, "G")
-    D = _check_full_row_rank(D, "D")
-    Gp = np.linalg.pinv(G)
-    Dp = np.linalg.pinv(D)
-    A = sign * (Gp.T @ c @ Dp)
-    return sign * (G.T @ A @ D), A
+    """(projected cost, affinity A) of chat under LinearAffinity(G, D, sign)."""
+    constraint = LinearAffinity(G, D, sign)
+    return constraint.prox(chat), constraint.affinity(chat)
 
 
 class Constraint:
@@ -64,15 +52,31 @@ class Constraint:
     def prox(self, chat) -> np.ndarray:
         raise NotImplementedError
 
+    def split(self):
+        """(P, tail): prox is P, then each tail part; P is linear (has prox_sum)."""
+        return (self, []) if hasattr(self, "prox_sum") else (NoConstraint(), [self])
+
+    def prox_(self, c) -> np.ndarray:  # prox(c), written into c
+        c[...] = self.prox(c)
+        return c
+
 
 class NoConstraint(Constraint):
     def prox(self, chat) -> np.ndarray:
         return np.array(as_matrix(chat), dtype=float)
 
+    def prox_sum(self, alpha, beta, out) -> None:
+        _outer_sum(alpha, beta, out)
+
 
 class SymmetricZeroDiag(Constraint):
     def prox(self, chat) -> np.ndarray:
         return prox_symmetric_zero_diag(chat)
+
+    def prox_sum(self, alpha, beta, out) -> None:
+        """h_i + h_j off the diagonal with h = (alpha + beta)/2, written into out."""
+        h = 0.5 * (alpha + beta)
+        np.fill_diagonal(_outer_sum(h, h, out), 0.0)
 
 
 class Box(Constraint):
@@ -83,11 +87,16 @@ class Box(Constraint):
         self.upper = float(upper)
 
     def prox(self, chat) -> np.ndarray:
-        return prox_box(chat, self.lower, self.upper)
+        return np.clip(as_matrix(chat), self.lower, self.upper)
+
+    def prox_(self, c) -> np.ndarray:
+        return np.clip(c, self.lower, self.upper, out=c)
 
 
 class LinearAffinity(Constraint):
-    """Bilinear cost parameterization c = sign * G^T A D; rank-checked upfront."""
+    """Bilinear cost parameterization c = sign * G^T A D, G (p x m) and D (q x n)
+    of full row rank (checked upfront); the prox is least squares, with
+    A = sign * (G^+)^T chat D^+."""
 
     def __init__(self, G, D, sign: int = 1):
         if sign not in (1, -1):
@@ -105,6 +114,12 @@ class LinearAffinity(Constraint):
         A = self.affinity(chat)
         return self.sign * (self.G.T @ A @ self.D)
 
+    def prox_sum(self, alpha, beta, out) -> None:
+        """[P_G alpha, P_G 1] [1^T P_D; beta^T P_D] into out, P_G = G^T G^+T, P_D = D^+ D."""
+        left = self.G.T @ (self._Gp.T @ np.column_stack([alpha, np.ones(alpha.size)]))
+        right = (np.vstack([np.ones(beta.size), beta]) @ self._Dp) @ self.D
+        np.dot(left, right, out=out)
+
 
 class Composite(Constraint):
     """Apply member proxes in declared order (e.g. symmetrize then clamp)."""
@@ -117,3 +132,7 @@ class Composite(Constraint):
         for part in self.parts:
             out = part.prox(out)
         return out
+
+    def split(self):
+        head, tail = self.parts[0].split() if self.parts else (NoConstraint(), [])
+        return head, tail + self.parts[1:]

@@ -1,12 +1,15 @@
 """Matrix-scaling recovery of the cost matrix from an observed plan.
 
-One outer iteration runs a single stabilised Sinkhorn sweep on the duals
-(absorbed every iteration, since c changes) and then projects the cost:
+One outer iteration runs a single stabilised Sinkhorn sweep on the duals and
+then projects the cost. The constraint splits as prox = tail(P(.)) with P
+linear (`Constraint.split`), so P(L), L = -eps log pihat, is computed once:
 
-    (alpha, beta) <- sweep(c);   c <- prox(alpha + beta - eps log pihat)
+    (alpha, beta) <- sweep(c);   c <- tail(P(L) + P(alpha + beta))
 
-The next sweep's kernel is the plan of the new (alpha, beta, c); its K 1 serves
-the next row half-step, the objective_E trace and the feasibility residual.
+P(alpha + beta) has a closed form (`prox_sum`: h + h with a zero diagonal for
+sym0, rank 2 for LinearAffinity) and the Box tail clamps in place. The sweep's
+kernel is rebuilt in place as the plan of the new (alpha, beta, c); its K 1
+serves the next row half-step, the objective_E trace and the residual.
 
 Only c/eps is identifiable, so solving at eps = 1 recovers c/eps_true.
 """
@@ -31,6 +34,7 @@ from .types import (
     SolverConfig,
     TransportPlan,
     _error_to,
+    _outer_sum,
     as_matrix,
 )
 
@@ -115,28 +119,30 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     mu = problem.observed.row_marginal.values
     nu = problem.observed.col_marginal.values
     eps = problem.config.epsilon
-    c = np.zeros(pihat.shape) if c_init is None else np.array(as_matrix(c_init), dtype=float)
-    L = -eps * np.log(pihat)
-    alpha, beta = np.zeros(mu.size), np.zeros(nu.size)
     rel_err = None if truth is None else _error_to(truth, pihat.shape)
+    c = np.zeros(pihat.shape) if c_init is None else np.array(as_matrix(c_init), dtype=float)
+    c_next = np.empty_like(c)  # c and c_next swap roles: the loop allocates no m-by-n array
+    L = -eps * np.log(pihat)
+    head, tail = problem.constraint.split()
+    PL = head.prox(L)
 
-    obj_trace = []
-    err_trace = []
-    converged = False
-    it = 0
+    obj_trace, err_trace, converged, it = [], [], False, 0
     t0 = time.perf_counter()
-    sweep = _Sweep(c, mu, nu, eps, alpha, beta)
+    sweep = _Sweep(c, mu, nu, eps, np.zeros(mu.size), np.zeros(nu.size))
     Kv = None  # K 1 of the current sweep (v = 1), reused by its row half-step
     while it < problem.config.max_iter:
         it += 1
         sweep.scale(1, Kv)
         sweep.scale(0)
         alpha, beta = sweep.duals()
-        chat = np.add.outer(alpha, beta) + L
-        c_new = problem.constraint.prox(chat)
-        delta = float(np.linalg.norm(c_new - c))
-        c = c_new
-        sweep = _Sweep(c, mu, nu, eps, alpha, beta)
+        head.prox_sum(alpha, beta, out=c_next)
+        c_next += PL
+        for part in tail:
+            part.prox_(c_next)
+        # ||c - c_next||_F, bitwise np.linalg.norm, with c - c_next written into c
+        delta = float(np.sqrt(np.vdot(np.subtract(c, c_next, out=c), c)))
+        c, c_next = c_next, c
+        sweep.reset(c, alpha, beta)
         Kv = sweep.K @ sweep.v
         with np.errstate(over="ignore"):  # +inf, as in objective_E
             obj_trace.append(float(-alpha @ mu - beta @ nu + np.vdot(c, pihat)
@@ -151,9 +157,8 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
             break
 
     duals = DualPotentials(alpha=alpha, beta=beta, epsilon=eps)
-    affinity = None
-    if isinstance(problem.constraint, LinearAffinity):
-        affinity = problem.constraint.affinity(chat)
+    affinity = (problem.constraint.affinity(_outer_sum(alpha, beta) + L)
+                if isinstance(problem.constraint, LinearAffinity) else None)
     report = SolveReport(
         iterations=it,
         objective_trace=np.asarray(obj_trace),
@@ -162,7 +167,7 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
                                  float(np.abs(sweep.K.sum(axis=0) - nu).sum())),
         converged=converged,
         wall_clock_seconds=time.perf_counter() - t0,
-        extras={"smoothed_zeros": problem.smoothed},
+        extras={"smoothed_zeros": problem.smoothed, "absorptions": sweep.absorptions},
     )
     return InverseSolution(cost=CostMatrix(c), duals=duals, affinity=affinity,
                            report=report)

@@ -26,13 +26,14 @@ from .types import (
     SolveReport,
     SolverConfig,
     TransportPlan,
+    _outer_sum,
     as_matrix,
 )
 
 
-def _log_plan(alpha, beta, cost, eps) -> np.ndarray:
-    """The log-plan (alpha_i + beta_j - c_ij)/eps, as one new array."""
-    z = np.add.outer(alpha, beta)
+def _log_plan(alpha, beta, cost, eps, out=None) -> np.ndarray:
+    """The log-plan (alpha_i + beta_j - c_ij)/eps, in out or one new array."""
+    z = _outer_sum(alpha, beta, out)
     z -= cost
     z /= eps
     return z
@@ -45,13 +46,16 @@ class _Sweep:
     and rebuilds K. Given ``axis`` (1: rows, 0: columns) it shifts that side's
     duals so that K has maximum 1 along the axis: the half-step on that side,
     which must come next, cancels the shift and cannot under/overflow. So a
-    half-step that under/overflows absorbs that way and retries.
+    half-step that under/overflows absorbs that way and retries. Every
+    rebuild, and `reset` to a new (c, alpha, beta), reuses K's buffer.
     """
 
     def __init__(self, cost, mu, nu, eps, alpha, beta, axis=None):
-        self.c, self.mu, self.nu, self.eps = cost, mu, nu, eps
-        self.alpha, self.beta = alpha, beta
-        self.absorptions = 0
+        self.mu, self.nu, self.eps, self.K, self.absorptions = mu, nu, eps, None, 0
+        self.reset(cost, alpha, beta, axis)
+
+    def reset(self, cost, alpha, beta, axis=None):
+        self.c, self.alpha, self.beta = cost, alpha, beta
         self._build(axis)
 
     def duals(self):
@@ -64,7 +68,7 @@ class _Sweep:
 
     def _build(self, axis):
         self.u, self.v = np.ones(self.alpha.size), np.ones(self.beta.size)
-        z = _log_plan(self.alpha, self.beta, self.c, self.eps)
+        z = _log_plan(self.alpha, self.beta, self.c, self.eps, out=self.K)
         if axis is not None:
             shift = z.max(axis=axis, keepdims=True)
             z -= shift

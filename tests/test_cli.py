@@ -193,6 +193,15 @@ class TestBenchCommand:
         assert table.shape == (4, 4)  # one row per (epsilon, size) pair
         assert set(table[:, 0]) == {12.0, 16.0}
 
+    @pytest.mark.parametrize("flag,value", [("--sizes", "abc"),
+                                            ("--epsilons", "x")])
+    def test_unparsable_list_is_input_error(self, tmp_path, capsys, flag, value):
+        code = main(["bench", flag, value, "--reps", "1",
+                     "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert value in capsys.readouterr().err
+        assert not (tmp_path / "b" / "bench.csv").exists()
+
 
 class TestTrainContinuousCommand:
     def write_pairs(self, tmp_path):
@@ -212,6 +221,20 @@ class TestTrainContinuousCommand:
         grid = read_matrix_csv(tmp_path / "t1" / "grid-eval.csv")
         assert grid.shape == (100, 2)
         assert (tmp_path / "t1" / "checkpoint.json").exists()
+
+    def test_pairs_without_grid_layout_still_report(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        write_pairs_csv(tmp_path / "pairs.csv",
+                        SampleSet(xs=rng.uniform(size=(50, 2)),
+                                  ys=rng.uniform(size=(50, 2))))
+        code = main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
+                     "--box", "0:1,0:1,0:1,0:1", "--epochs", "2",
+                     "--out", str(tmp_path / "t")])
+        assert code == 0
+        assert "grid-eval.csv not written" in capsys.readouterr().err
+        assert strict_json(tmp_path / "t" / "report.json")["iterations"] > 0
+        assert (tmp_path / "t" / "checkpoint.json").exists()
+        assert not (tmp_path / "t" / "grid-eval.csv").exists()
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         self.write_pairs(tmp_path)

@@ -109,6 +109,37 @@ class TestConstraintObjects:
         assert np.array_equal(combo.prox(c), expect)
 
 
+class TestSplit:
+    """prox = tail(P(.)) with P linear; P(alpha + beta) comes from prox_sum."""
+
+    @pytest.mark.parametrize("name", ["none", "sym0", "box", "sym0_box",
+                                      "box_sym0", "affinity_8x6"])
+    def test_split_reproduces_prox(self, rng, name):
+        m, n = (8, 6) if name == "affinity_8x6" else (5, 5)
+        constraint = {
+            "none": NoConstraint(),
+            "sym0": SymmetricZeroDiag(),
+            "box": Box(0.1, 0.5),
+            "sym0_box": Composite([SymmetricZeroDiag(), Box(0.1, 2.0)]),
+            "box_sym0": Composite([Box(0.0, 0.5), SymmetricZeroDiag()]),
+            "affinity_8x6": LinearAffinity(rng.normal(size=(3, m)),
+                                           rng.normal(size=(2, n)), -1),
+        }[name]
+        alpha, beta = rng.normal(size=m), rng.normal(size=n)
+        L = rng.uniform(0.0, 1.0, size=(m, n))
+        head, tail = constraint.split()
+        # a first part that is not linear leaves P the identity
+        assert type(head) is {"box": NoConstraint, "box_sym0": NoConstraint,
+                              "sym0_box": SymmetricZeroDiag}.get(name, type(constraint))
+        c = np.empty((m, n))
+        head.prox_sum(alpha, beta, out=c)
+        c += head.prox(L)
+        for part in tail:
+            assert part.prox_(c) is c
+        want = constraint.prox(np.add.outer(alpha, beta) + L)
+        assert np.abs(c - want).max() <= 1e-12 * np.abs(want).max()
+
+
 matrices_4x4 = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False),
     min_size=16, max_size=16).map(lambda v: np.array(v).reshape(4, 4))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from invot import (
     synth_marginals,
 )
 from invot.errors import DimMismatch, ZeroObservation, ZeroReference
-from invot.sinkhorn import _plan_residual
+from invot.sinkhorn import _plan_residual, _Sweep
+from invot.types import _error_to
 from conftest import make_plan, random_plan
 
 # the stabilised sweep must never under/overflow silently
@@ -262,6 +265,160 @@ class TestLearnCost:
                                            tol=1e-14))
         assert solution.affinity is not None
         assert relative_error(solution.cost, c_star) <= 1e-3
+
+
+def reference_learn_cost(problem, c_init=None, truth=None, target_rel_err=None):
+    """The loop before the log-plan was projected once: a fresh sweep every
+    iteration and c <- constraint.prox(alpha + beta + L)."""
+    pihat = problem.observed.matrix
+    mu = problem.observed.row_marginal.values
+    nu = problem.observed.col_marginal.values
+    eps, constraint = problem.config.epsilon, problem.constraint
+    c = np.zeros(pihat.shape) if c_init is None else np.array(c_init, dtype=float)
+    L = -eps * np.log(pihat)
+    alpha, beta = np.zeros(mu.size), np.zeros(nu.size)
+    rel_err = None if truth is None else _error_to(truth, pihat.shape)
+    obj_trace, err_trace, absorptions, it = [], [], 0, 0
+    sweep = _Sweep(c, mu, nu, eps, alpha, beta)
+    Kv = None
+    while it < problem.config.max_iter:
+        it += 1
+        sweep.scale(1, Kv)
+        sweep.scale(0)
+        absorptions += sweep.absorptions
+        alpha, beta = sweep.duals()
+        chat = np.add.outer(alpha, beta) + L
+        c_new = constraint.prox(chat)
+        delta = float(np.linalg.norm(c_new - c))
+        c = c_new
+        sweep = _Sweep(c, mu, nu, eps, alpha, beta)
+        Kv = sweep.K @ sweep.v
+        with np.errstate(over="ignore"):
+            obj_trace.append(float(-alpha @ mu - beta @ nu + np.vdot(c, pihat)
+                                   + eps * Kv.sum()))
+        if rel_err is not None:
+            err_trace.append(rel_err(c))
+            if target_rel_err is not None and err_trace[-1] <= target_rel_err:
+                break
+        if delta <= problem.config.tol:
+            break
+    affinity = (constraint.affinity(chat)
+                if isinstance(constraint, LinearAffinity) else None)
+    return {"cost": c, "alpha": alpha, "beta": beta, "iterations": it,
+            "objective_trace": np.asarray(obj_trace),
+            "rel_err_trace": np.asarray(err_trace), "affinity": affinity,
+            "absorptions": absorptions}
+
+
+def assert_close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = max(float(np.abs(want).max()), 1e-300)
+    assert float(np.abs(got - want).max()) <= rel * scale
+
+
+def symmetric_instance(n=10, eps=0.5, seed=3):
+    rng = np.random.default_rng(seed)
+    c_star = prox_symmetric_zero_diag(rng.uniform(0.05, 1.0, size=(n, n)))
+    mu, nu = synth_marginals(n, n, seed=seed)
+    return c_star, forward_plan(c_star, mu, nu, eps, tol=1e-13)
+
+
+class TestProjectedLoopMatchesReference:
+    """learn_cost projects -eps log pihat once and alpha + beta in closed form;
+    it must follow the reference loop to rounding."""
+
+    @pytest.mark.parametrize("case", [
+        "sym0_box", "sym0", "box", "none", "sym0_box_lower_diagonal",
+        "box_then_sym0", "affinity_8x6", "c_init", "target_rel_err"])
+    def test_costs_duals_and_traces(self, case):
+        eps = 0.5
+        c_star, plan = symmetric_instance(eps=eps)
+        kwargs = {"truth": c_star}
+        constraint = {
+            "sym0": SymmetricZeroDiag(),
+            "box": Box(0.0, 0.8),
+            "none": NoConstraint(),
+            "sym0_box_lower_diagonal": Composite([SymmetricZeroDiag(),
+                                                  Box(0.1, 2.0)]),
+            "box_then_sym0": Composite([Box(0.0, 0.8), SymmetricZeroDiag()]),
+        }.get(case, SYM_NONNEG)
+        max_iter, tol = (2000, 1e-6) if case == "box" else (400, 1e-9)
+        if case == "affinity_8x6":
+            rng = np.random.default_rng(8)
+            G, D = rng.normal(size=(3, 8)), rng.normal(size=(2, 6))
+            plan = random_plan(rng, 8, 6)
+            constraint = LinearAffinity(G, D, -1)
+            kwargs = {}
+        if case == "c_init":
+            kwargs["c_init"] = c_star + 0.3
+        if case == "target_rel_err":
+            kwargs["target_rel_err"] = 1e-4
+            tol = 1e-15
+        problem = problem_from(plan, constraint, eps=eps, max_iter=max_iter,
+                               tol=tol)
+        want = reference_learn_cost(problem, **kwargs)
+        got = learn_cost(problem, **kwargs)
+        assert got.report.iterations == want["iterations"] < max_iter
+        assert_close(got.cost.matrix, want["cost"])
+        assert_close(got.duals.alpha, want["alpha"])
+        assert_close(got.duals.beta, want["beta"])
+        for k, (g, w) in enumerate(zip(got.report.objective_trace,
+                                       want["objective_trace"])):
+            assert abs(g - w) <= 1e-12 * abs(w), k
+        if "truth" in kwargs:
+            assert_close(got.report.rel_err_trace, want["rel_err_trace"])
+        if case == "affinity_8x6":
+            assert_close(got.affinity, want["affinity"])
+        else:
+            assert got.affinity is None
+        assert got.report.extras["absorptions"] == want["absorptions"]
+
+    def test_absorptions_from_shifted_init(self):
+        eps = 0.5
+        c_star, plan = symmetric_instance(eps=eps)
+        solution = learn_cost(problem_from(plan, eps=eps, max_iter=3000,
+                                           tol=1e-12),
+                              c_init=c_star + 1000.0 * eps)
+        assert solution.report.extras["absorptions"] > 0
+
+    def test_benchmark_sized_instance(self):
+        # the discrete-recover inverse instance: n=512, eps=0.1, sym0 + box
+        n, eps = 512, 0.1
+        c_star = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=eps, seed=100))
+        mu, nu = synth_marginals(n, n, seed=100)
+        plan = forward_plan(c_star, mu, nu, eps, tol=1e-9)
+        problem = problem_from(plan, eps=eps, max_iter=1000, tol=1e-3)
+        want = reference_learn_cost(problem)
+        got = learn_cost(problem)
+        assert got.report.iterations == want["iterations"]
+        assert got.report.extras["absorptions"] == want["absorptions"]
+        assert_close(got.cost.matrix, want["cost"])
+
+    def test_no_cost_sized_allocation_inside_the_loop(self, monkeypatch):
+        n, eps = 256, 0.5
+        c_star, plan = symmetric_instance(n=n, eps=eps)
+        peaks = []
+        reset = _Sweep.reset
+
+        def recording_reset(self, *args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - current)
+            tracemalloc.reset_peak()
+            return reset(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Sweep, "reset", recording_reset)
+        tracemalloc.start()
+        try:
+            learn_cost(problem_from(plan, eps=eps, max_iter=20, tol=1e-15),
+                       truth=c_star)
+        finally:
+            tracemalloc.stop()
+        # the first call is the sweep's construction; each later one ends an
+        # iteration: its transient memory (vectors and numpy's fixed
+        # iteration buffers) stays below half of one n x n array
+        assert len(peaks) == 21
+        assert max(peaks[1:]) < n * n * 8 / 2
 
 
 class TestEpsilonConvention:
