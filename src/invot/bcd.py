@@ -46,7 +46,6 @@ class BcdState:
     M_c: float
     M_alpha: float
     M_beta: float
-    psi_trace: tuple = ()
 
     def norms_ok(self) -> bool:
         return (
@@ -134,13 +133,12 @@ def bcd_c_update(state: BcdState, problem: InverseProblem,
     return replace(state, cost=c)
 
 
-def bcd_solve(problem: InverseProblem, M_c: float = 2.0, c_init=None,
-              inner_steps: int = 50, truth=None,
+def bcd_solve(problem: InverseProblem, M_c: float = 2.0, truth=None,
               state_log: Optional[List[BcdState]] = None) -> InverseSolution:
-    """Run Algorithm-3-style BCD; psi trace is recorded every iteration.
+    """Run Algorithm-3-style BCD from c = 0; psi trace is recorded every iteration.
 
-    ``state_log``, when supplied, receives a copy of the state at every
-    iteration (used by the boundedness checks).
+    ``state_log``, when supplied, receives the state of every iteration, not
+    a copy: states are frozen (used by the boundedness checks).
     """
     if M_c <= 0:
         raise BadBounds("M_c must be positive")
@@ -148,9 +146,8 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, c_init=None,
     m, n = pihat.shape
     eps = problem.config.epsilon
     M_alpha, M_beta = variation_bounds(problem, M_c)
-    c0 = np.zeros((m, n)) if c_init is None else np.array(as_matrix(c_init), dtype=float)
     state = BcdState(alpha=np.zeros(m), beta=np.zeros(n),
-                     cost=_project_c(c0, problem.constraint, M_c),
+                     cost=_project_c(np.zeros((m, n)), problem.constraint, M_c),
                      M_c=M_c, M_alpha=M_alpha, M_beta=M_beta)
     psi = []
     err_trace = []
@@ -163,16 +160,15 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, c_init=None,
         c_prev = state.cost
         state = bcd_alpha_update(state, problem)
         state = bcd_beta_update(state, problem)
-        state = bcd_c_update(state, problem, inner_steps=inner_steps)
+        state = bcd_c_update(state, problem)
         psi.append(objective_F(state.alpha, state.beta, state.cost, problem))
         if rel_err is not None:
             err_trace.append(rel_err(state.cost))
         if state_log is not None:
-            state_log.append(replace(state, psi_trace=tuple(psi)))
+            state_log.append(state)
         if float(np.linalg.norm(state.cost - c_prev)) <= problem.config.tol:
             converged = True
             break
-    state = replace(state, psi_trace=tuple(psi))
     # F is invariant under alpha + t; return the representative whose
     # e^{(alpha + beta - c)/eps} is the model plan, of total mass 1
     alpha = state.alpha - _log_mass(state.alpha, state.beta, state.cost, eps)

@@ -221,7 +221,7 @@ def cmd_train_continuous(args) -> int:
     if mode.startswith("scaleddiff"):
         mode, _, s = mode.partition(":")
         scale = float(s) if s else 1.0
-    feat_dim = {"raw": d_x + d_y, "absdiff": d_x, "scaleddiff": d_x}[mode]
+    feat_dim = d_x + d_y if mode == "raw" else d_x
     cost = CostParameterization(
         input_mode=mode,
         net=xavier_init([feat_dim] + hidden + [1], "relu", seed=args.seed),
@@ -244,22 +244,19 @@ def cmd_train_continuous(args) -> int:
     return EXIT_OK
 
 
-def _grid_eval(cost: CostParameterization, box, d_x, points: int = 100):
-    """Grid rows, e.g. (feature value, cost) for 1-d features; None if no layout fits."""
+def _grid_eval(cost: CostParameterization, box, d_x):
+    """Rows of a 100-point grid, e.g. (feature, cost) for a 1-d feature; None if none fits."""
     if cost.net.input_dim == 1 and cost.input_mode in ("absdiff", "scaleddiff"):
-        los = np.array([b[0] for b in box])
-        his = np.array([b[1] for b in box])
-        corners_x = np.array([los[:d_x], his[:d_x]])
-        corners_y = np.array([los[d_x:], his[d_x:]])
+        ends = np.array(box, dtype=float)  # row k: (lo, hi) of coordinate k
         s = cost.scale if cost.input_mode == "scaleddiff" else 1.0
-        xi_max = max(abs(cx - s * cy) for cx in corners_x.ravel()
-                     for cy in corners_y.ravel())
-        xi = np.linspace(0.0, float(xi_max), points)
+        xi_max = max(abs(cx - s * cy) for cx in ends[:d_x].ravel()
+                     for cy in ends[d_x:].ravel())
+        xi = np.linspace(0.0, float(xi_max), 100)
         vals, _ = cost.net.forward_batch(xi.reshape(-1, 1))
         return np.column_stack([xi, vals])
     if cost.input_mode == "raw" and d_x == 1 and len(box) == 2:
-        gx = np.linspace(box[0][0], box[0][1], points)
-        gy = np.linspace(box[1][0], box[1][1], points)
+        gx = np.linspace(box[0][0], box[0][1], 100)
+        gy = np.linspace(box[1][0], box[1][1], 100)
         xx, yy = np.meshgrid(gx, gy, indexing="ij")
         vals = eval_cost_on_grid(cost, xx.ravel().reshape(-1, 1),
                                  yy.ravel().reshape(-1, 1))

@@ -95,12 +95,13 @@ class TrainConfig:
     nominal_epsilon: float = 1.0
 
     def __post_init__(self):
-        if (self.learning_rate <= 0 or self.adam_eps <= 0 or self.batch_size < 0
-                or self.n_collocation <= 0 or self.epochs <= 0
-                or self.nominal_epsilon <= 0):
-            raise BadBounds("train configuration values must be positive")
-        if len(self.domain_box) == 0 or any(hi <= lo for lo, hi in self.domain_box):
-            raise BadBounds("domain box must be nonempty with lo < hi per coordinate")
+        if not (0 < self.learning_rate < np.inf and 0 < self.adam_eps < np.inf
+                and self.batch_size >= 0 and self.n_collocation > 0
+                and self.epochs > 0 and self.nominal_epsilon > 0):
+            raise BadBounds("train configuration values must be positive (rates finite)")
+        if len(self.domain_box) == 0 or any(
+                not -np.inf < lo < hi < np.inf for lo, hi in self.domain_box):
+            raise BadBounds("domain box must be nonempty with finite lo < hi per coordinate")
 
 
 def _box_volume(box) -> float:
@@ -117,6 +118,15 @@ def _split_xy(points: np.ndarray, d_x: int):
     return points[:, :d_x], points[:, d_x:]
 
 
+def _log_integrand(alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
+                   cost: CostParameterization, pts: np.ndarray) -> np.ndarray:
+    """alpha(x) + beta(y) - c(x, y) at stacked points (x, y)."""
+    x, y = _split_xy(pts, alpha_net.input_dim)
+    a, _ = alpha_net.forward_batch(x)
+    b, _ = beta_net.forward_batch(y)
+    return a + b - cost.evaluate(x, y)
+
+
 def mc_integral_uniform(alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
                         cost: CostParameterization, box, n_s: int,
                         seed: int = 0) -> float:
@@ -125,11 +135,8 @@ def mc_integral_uniform(alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
         raise BadBounds("n_s must be at least 1")
     rng = np.random.default_rng(seed)
     pts = _sample_box(box, n_s, rng)
-    x, y = _split_xy(pts, alpha_net.input_dim)
-    a, _ = alpha_net.forward_batch(x)
-    b, _ = beta_net.forward_batch(y)
-    c = cost.evaluate(x, y)
-    return _box_volume(box) * float(np.mean(np.exp(a + b - c)))
+    log_g = _log_integrand(alpha_net, beta_net, cost, pts)
+    return _box_volume(box) * float(np.mean(np.exp(log_g)))
 
 
 def mc_integral_importance(alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
@@ -155,12 +162,9 @@ def mc_integral_importance(alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
     log_rho = (-0.5 * np.sum(sol ** 2, axis=0)
                - 0.5 * d * np.log(2 * np.pi)
                - float(np.sum(np.log(np.diag(chol)))))
-    x, y = _split_xy(pts, alpha_net.input_dim)
-    a, _ = alpha_net.forward_batch(x)
-    b, _ = beta_net.forward_batch(y)
-    c = cost.evaluate(x, y)
+    log_g = _log_integrand(alpha_net, beta_net, cost, pts)
     with np.errstate(over="ignore"):
-        w = np.exp(a + b - c - log_rho)
+        w = np.exp(log_g - log_rho)
     est = float(np.mean(w))
     if not np.isfinite(est):
         raise UnreliableEstimate("importance weights overflow")

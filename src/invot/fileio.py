@@ -6,14 +6,16 @@ round trip, '.' decimal, no locale). A matrix has the header ``rows,cols``; a
 probability vector is a matrix with cols = 1; pairs have the header
 ``rows,cols,dx`` and each row holds x (the first dx values, 1 <= dx < cols)
 and then y. ``report.json`` is strict JSON, with null for non-finite numbers.
+JSON artifacts hold ``vars()`` of the report and configs, so each dataclass is
+the only list of its fields; a checkpoint's train config must match it exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
-from typing import List
 
 import numpy as np
 
@@ -101,10 +103,10 @@ def read_pairs_csv(path) -> SampleSet:
 
 
 def write_checkpoint(path, cost: CostParameterization, config: TrainConfig,
-                     alpha_net: FeedForwardNet = None,
-                     beta_net: FeedForwardNet = None) -> None:
+                     alpha_net: FeedForwardNet, beta_net: FeedForwardNet) -> None:
     """Self-describing JSON checkpoint: dims, activation tags, flattened
-    parameters (row-major weights then biases, layer order), train config."""
+    parameters (row-major weights then biases, layer order) of the three
+    nets, and the train config as ``vars(config)``."""
 
     def net_blob(net):
         return {
@@ -118,31 +120,17 @@ def write_checkpoint(path, cost: CostParameterization, config: TrainConfig,
         "cost": net_blob(cost.net),
         "input_mode": cost.input_mode,
         "scale": cost.scale,
-        "train_config": {
-            "learning_rate": config.learning_rate,
-            "adam_betas": list(config.adam_betas),
-            "adam_eps": config.adam_eps,
-            "batch_size": config.batch_size,
-            "n_collocation": config.n_collocation,
-            "epochs": config.epochs,
-            "seed": config.seed,
-            "domain_box": [list(b) for b in config.domain_box],
-            "nominal_epsilon": config.nominal_epsilon,
-        },
+        "train_config": vars(config),
+        "alpha": net_blob(alpha_net),
+        "beta": net_blob(beta_net),
     }
-    if alpha_net is not None:
-        blob["alpha"] = net_blob(alpha_net)
-    if beta_net is not None:
-        blob["beta"] = net_blob(beta_net)
     Path(path).write_text(json.dumps(blob, indent=1))
 
 
 def _net_from_blob(blob) -> FeedForwardNet:
     dims = blob["layer_dims"]
     flat = np.array([float(x) for x in blob["params"]])
-    weights: List[np.ndarray] = []
-    biases: List[np.ndarray] = []
-    pos = 0
+    weights, biases, pos = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(flat[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in))
         pos += fan_out * fan_in
@@ -159,38 +147,21 @@ def read_checkpoint(path):
     blob = json.loads(Path(path).read_text())
     if blob.get("format") != "invot-checkpoint-v1":
         raise ParseError(f"unknown checkpoint format {blob.get('format')!r}")
-    tc = blob["train_config"]
-    config = TrainConfig(
-        learning_rate=tc["learning_rate"],
-        adam_betas=tuple(tc["adam_betas"]),
-        adam_eps=tc["adam_eps"],
-        batch_size=tc["batch_size"],
-        n_collocation=tc["n_collocation"],
-        epochs=tc["epochs"],
-        seed=tc["seed"],
-        domain_box=tuple(tuple(b) for b in tc["domain_box"]),
-        nominal_epsilon=tc["nominal_epsilon"],
-    )
-    cost = CostParameterization(input_mode=blob["input_mode"],
-                                net=_net_from_blob(blob["cost"]),
-                                scale=blob.get("scale", 1.0))
-    alpha_net = _net_from_blob(blob["alpha"]) if "alpha" in blob else None
-    beta_net = _net_from_blob(blob["beta"]) if "beta" in blob else None
-    return cost, config, alpha_net, beta_net
+    try:
+        tc = dict(blob["train_config"])
+        if set(tc) != {f.name for f in fields(TrainConfig)}:
+            raise ParseError(f"train_config keys {sorted(tc)} are not TrainConfig's fields")
+        tc["adam_betas"] = tuple(tc["adam_betas"])
+        tc["domain_box"] = tuple(tuple(b) for b in tc["domain_box"])
+        net, alpha_net, beta_net = (_net_from_blob(blob[k]) for k in ("cost", "alpha", "beta"))
+        cost = CostParameterization(blob["input_mode"], net, blob["scale"])
+    except KeyError as exc:
+        raise ParseError(f"checkpoint is missing key {exc.args[0]!r}") from exc
+    return cost, TrainConfig(**tc), alpha_net, beta_net
 
 
 def write_report_json(path, report, config=None) -> None:
-    blob = {
-        "iterations": report.iterations,
-        "objective_trace": np.asarray(report.objective_trace),
-        "rel_err_trace": (None if report.rel_err_trace is None
-                          else np.asarray(report.rel_err_trace)),
-        "feasibility_residual": float(report.feasibility_residual),
-        "converged": bool(report.converged),
-        "wall_clock_seconds": float(report.wall_clock_seconds),
-        "rng": "numpy-PCG64",
-        "extras": report.extras,
-    }
+    blob = {**vars(report), "rng": "numpy-PCG64"}
     if config is not None:
         blob["config"] = vars(config)
     write_json(path, blob)

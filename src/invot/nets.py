@@ -9,7 +9,7 @@ of any autodiff dependency and bitwise deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -24,9 +24,7 @@ def _out_act(z, kind):
         return np.maximum(z, 0.0)
     if kind == "identity":
         return z
-    if kind == "softplus":
-        return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
-    raise DimMismatch(f"unknown output activation {kind!r}")
+    return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)  # softplus
 
 
 def _out_act_grad(z, kind):
@@ -34,9 +32,7 @@ def _out_act_grad(z, kind):
         return (z > 0).astype(float)
     if kind == "identity":
         return np.ones_like(z)
-    if kind == "softplus":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise DimMismatch(f"unknown output activation {kind!r}")
+    return 1.0 / (1.0 + np.exp(-z))  # softplus
 
 
 @dataclass
@@ -65,17 +61,11 @@ class FeedForwardNet:
         return int(self.layer_dims[0])
 
     def parameters(self) -> List[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """[w_0, b_0, w_1, b_1, ...], the order of every gradient list."""
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def set_parameters(self, params: Sequence[np.ndarray]) -> None:
-        n_layers = len(self.weights)
-        for k in range(n_layers):
-            self.weights[k] = params[2 * k]
-            self.biases[k] = params[2 * k + 1]
+        self.weights[:], self.biases[:] = params[0::2], params[1::2]
 
     def forward_batch(self, X: np.ndarray):
         """Outputs and caches for a batch; X has shape (N, d_in)."""

@@ -58,7 +58,7 @@ class InverseProblem:
                 "delta-smoothing")
 
 
-def smooth_observed_zeros(matrix, feas_tol: float = 1e-6) -> TransportPlan:
+def smooth_observed_zeros(matrix) -> TransportPlan:
     """Replace zero plan entries with 1e-12 and renormalize.
 
     Opt-in repair for plans with empty cells; the result is flagged by the
@@ -69,7 +69,7 @@ def smooth_observed_zeros(matrix, feas_tol: float = 1e-6) -> TransportPlan:
     mat /= mat.sum()
     mu_s = ProbabilityVector(mat.sum(axis=1) / mat.sum())
     nu_s = ProbabilityVector(mat.sum(axis=0) / mat.sum())
-    return TransportPlan(mat, mu_s, nu_s, feas_tol=max(feas_tol, 1e-6))
+    return TransportPlan(mat, mu_s, nu_s, feas_tol=1e-6)
 
 
 @dataclass(frozen=True)

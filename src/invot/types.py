@@ -62,7 +62,6 @@ class ProbabilityVector:
     """A marginal distribution on a finite support."""
 
     values: np.ndarray
-    mass_tol: float = 1e-12
 
     def __post_init__(self):
         v = _frozen_array(self.values, 1)
@@ -73,7 +72,7 @@ class ProbabilityVector:
             i = int(np.argmin(v))
             raise NegativeEntry(f"entry {i} is negative: {v[i]!r}")
         total = float(v.sum())
-        if not abs(total - 1.0) <= self.mass_tol:
+        if not abs(total - 1.0) <= 1e-12:
             raise MassMismatch(f"entries sum to {total!r}, not 1")
 
     @property

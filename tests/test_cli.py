@@ -244,6 +244,31 @@ class TestTrainContinuousCommand:
         capsys.readouterr()
         assert code == 2
 
+    def write_random_pairs(self, tmp_path):
+        rng = np.random.default_rng(5)
+        write_pairs_csv(tmp_path / "pairs.csv",
+                        SampleSet(xs=rng.uniform(size=(20, 1)),
+                                  ys=rng.uniform(size=(20, 1))))
+
+    def test_unknown_input_mode_is_input_error(self, tmp_path, capsys):
+        self.write_random_pairs(tmp_path)
+        code = main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
+                     "--input-mode", "banana", "--epochs", "1",
+                     "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert "unknown input mode 'banana'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--lr", "nan", "--epochs", "2"],
+                                      ["--lr", "inf", "--epochs", "1"],
+                                      ["--box", "0:nan,0:1", "--epochs", "1"]])
+    def test_non_finite_train_config_is_input_error(self, tmp_path, capsys, args):
+        self.write_random_pairs(tmp_path)
+        code = main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
+                     *args, "--out", str(tmp_path / "t")])
+        capsys.readouterr()
+        assert code == 1
+        assert not (tmp_path / "t" / "checkpoint.json").exists()
+
 
 class TestEvalCommand:
     def test_prints_metrics(self, tmp_path, capsys, rng):

@@ -14,7 +14,7 @@ from invot import (
     train,
     xavier_init,
 )
-from invot.errors import Diverged, UnreliableEstimate
+from invot.errors import BadBounds, Diverged, UnreliableEstimate
 
 
 class FnNet:
@@ -444,3 +444,17 @@ class TestTrainStep:
                 assert np.array_equal(p, q)
         assert not all(np.array_equal(p, q) for p, q in zip(
             cost_plain.net.parameters(), cost_reg.net.parameters()))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": np.nan}, {"learning_rate": np.inf},
+        {"adam_eps": np.nan}, {"adam_eps": np.inf}, {"nominal_epsilon": np.nan},
+        {"domain_box": ((0.0, np.nan), (0.0, 1.0))},
+        {"domain_box": ((-np.inf, 0.0),)}, {"domain_box": ((0.0, 1.0), (1.0, 1.0))}])
+    def test_non_finite_or_empty_values_rejected(self, kwargs):
+        with pytest.raises(BadBounds):
+            TrainConfig(**kwargs)
+
+    def test_infinite_nominal_epsilon_allowed(self):
+        assert TrainConfig(nominal_epsilon=np.inf).nominal_epsilon == np.inf

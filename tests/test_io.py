@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from invot import CostParameterization, SampleSet, TrainConfig, xavier_init
+from invot import CostParameterization, FeedForwardNet, SampleSet, TrainConfig, xavier_init
 from invot.errors import ParseError, ShapeHeaderMismatch
 from invot.fileio import (
     read_checkpoint,
@@ -131,6 +131,113 @@ class TestCheckpoint:
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({"format": "something-else"}))
+        with pytest.raises(ParseError):
+            read_checkpoint(path)
+
+
+def tiny_net(dims, activation, weights, biases):
+    return FeedForwardNet(dims, [np.array(w, dtype=float) for w in weights],
+                          [np.array(b, dtype=float) for b in biases], activation)
+
+
+def write_tiny_checkpoint(path):
+    cost = CostParameterization("absdiff", tiny_net(
+        [1, 2, 1], "relu", [[[0.5], [-0.25]], [[1.0, 0.1]]], [[0.0, 1.5], [-2.0]]))
+    alpha = tiny_net([1, 1], "identity", [[[3.0]]], [[0.2]])
+    beta = tiny_net([1, 1], "identity", [[[-1.0]]], [[1e-300]])
+    write_checkpoint(path, cost, TrainConfig(epochs=3, seed=7), alpha, beta)
+
+
+GOLDEN_CHECKPOINT = """{
+ "format": "invot-checkpoint-v1",
+ "cost": {
+  "layer_dims": [
+   1,
+   2,
+   1
+  ],
+  "output_activation": "relu",
+  "params": [
+   "0.5",
+   "-0.25",
+   "0",
+   "1.5",
+   "1",
+   "0.10000000000000001",
+   "-2"
+  ]
+ },
+ "input_mode": "absdiff",
+ "scale": 1.0,
+ "train_config": {
+  "learning_rate": 0.0001,
+  "adam_betas": [
+   0.9,
+   0.999
+  ],
+  "adam_eps": 1e-08,
+  "batch_size": 0,
+  "n_collocation": 500,
+  "epochs": 3,
+  "seed": 7,
+  "domain_box": [
+   [
+    0.0,
+    1.0
+   ],
+   [
+    0.0,
+    1.0
+   ]
+  ],
+  "nominal_epsilon": 1.0
+ },
+ "alpha": {
+  "layer_dims": [
+   1,
+   1
+  ],
+  "output_activation": "identity",
+  "params": [
+   "3",
+   "0.20000000000000001"
+  ]
+ },
+ "beta": {
+  "layer_dims": [
+   1,
+   1
+  ],
+  "output_activation": "identity",
+  "params": [
+   "-1",
+   "1e-300"
+  ]
+ }
+}"""
+
+
+class TestCheckpointFormat:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_tiny_checkpoint(path)
+        assert path.read_text() == GOLDEN_CHECKPOINT
+        cost, config, alpha, beta = read_checkpoint(path)
+        assert config == TrainConfig(epochs=3, seed=7)
+        assert alpha.parameters()[1][0] == 0.2 and beta.parameters()[1][0] == 1e-300
+
+    @pytest.mark.parametrize("change", ["missing_seed", "extra_key", "missing_alpha"])
+    def test_mismatched_keys_rejected(self, tmp_path, change):
+        path = tmp_path / "ckpt.json"
+        write_tiny_checkpoint(path)
+        blob = json.loads(path.read_text())
+        if change == "missing_seed":
+            del blob["train_config"]["seed"]
+        elif change == "extra_key":
+            blob["train_config"]["momentum"] = 0.5
+        else:
+            del blob["alpha"]
+        path.write_text(json.dumps(blob))
         with pytest.raises(ParseError):
             read_checkpoint(path)
 
