@@ -265,7 +265,5 @@ def train(samples: SampleSet, cost: CostParameterization,
         feasibility_residual=float("nan"),
         converged=True,
         wall_clock_seconds=time.perf_counter() - t0,
-        extras={"seed": config.seed, "nominal_epsilon": config.nominal_epsilon,
-                "rng": "numpy-PCG64"},
     )
     return alpha_net, beta_net, cost, report

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,14 +26,22 @@ from invot import (
     synth_marginals,
     variation_bounds,
 )
-from invot.bcd import _softmax_plan
 from invot.errors import DimMismatch, ZeroReference
 from invot.scaling import InverseProblem
+from invot.sinkhorn import _log_plan
 from conftest import make_plan, random_plan
 from test_scaling import SYM_NONNEG, forward_plan, problem_from
 
 # the stabilised sweep must never under/overflow silently
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _softmax_plan(alpha, beta, cost, eps):
+    """softmax((alpha + beta - c)/eps) over all cells."""
+    z = _log_plan(alpha, beta, cost, eps)
+    z = z - np.max(z)
+    w = np.exp(z)
+    return w / w.sum()
 
 
 def lse_alpha(state, problem):
@@ -250,6 +260,65 @@ class TestCostBlock:
         assert np.abs(out.cost - center).max() <= 1e-3
 
 
+SYM_BOX = Composite([SymmetricZeroDiag(), Box(0.0, 2.0)])
+
+
+def fixed_step_c_update(state, problem, inner_steps, grad_tol):
+    """Reference c block: projected gradient with the fixed step eps = 1/L."""
+    eps = problem.config.epsilon
+    pihat = problem.observed.matrix
+    c = state.cost
+    for _ in range(inner_steps):
+        grad = pihat - _softmax_plan(state.alpha, state.beta, c, eps)
+        c_next = np.clip(problem.constraint.prox(c - eps * grad), 0.0,
+                         state.M_c)
+        move = float(np.linalg.norm(c_next - c))
+        c = c_next
+        if move <= grad_tol:
+            break
+    return c
+
+
+def feasible_state(problem, rng):
+    """A random state whose cost already lies in the c-block's feasible set."""
+    state = fresh_state(problem, rng=rng)
+    cost = np.clip(problem.constraint.prox(state.cost), 0.0, state.M_c)
+    return replace(state, cost=cost)
+
+
+class TestArmijoCostBlock:
+    @pytest.mark.parametrize("eps", [0.3, 0.9, 2.0])
+    @pytest.mark.parametrize("constraint", [Box(0.0, 2.0), SYM_BOX],
+                             ids=["box", "sym0+box"])
+    def test_every_inner_step_descends(self, rng, eps, constraint):
+        problem = problem_from(random_plan(rng, 4, 4), constraint, eps=eps)
+        for _ in range(20):
+            state = feasible_state(problem, rng)
+            trace = [state]
+            for _ in range(30):
+                trace.append(bcd_c_update(trace[-1], problem, inner_steps=1,
+                                          grad_tol=0.0))
+            # the chained single steps are the steps of one 30-step call
+            whole = bcd_c_update(state, problem, inner_steps=30, grad_tol=0.0)
+            assert np.array_equal(trace[-1].cost, whole.cost)
+            f = [objective_F(s.alpha, s.beta, s.cost, problem) for s in trace]
+            assert np.all(np.diff(f) <= 1e-12)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.9, 2.0])
+    def test_reaches_the_fixed_step_minimizer(self, rng, eps):
+        # sym0+box pins the minimizer: under a box alone c + t is flat in t
+        # while no clamp binds, and the two loops may stop at different ends;
+        # at n > 2 the fixed step needs more than 400 steps
+        problem = problem_from(random_plan(rng, 2, 2), SYM_BOX, eps=eps)
+        for _ in range(10):
+            state = feasible_state(problem, rng)
+            got = bcd_c_update(state, problem, inner_steps=400,
+                               grad_tol=1e-14).cost
+            expect = fixed_step_c_update(state, problem, inner_steps=400,
+                                         grad_tol=1e-14)
+            assert np.abs(got - expect).max() <= 1e-8
+
+
 class TestBcdSolve:
     def test_independent_coupling_gives_zero_cost(self):
         mu, nu = synth_marginals(5, 5, seed=1)
@@ -343,6 +412,16 @@ class TestBcdSolve:
         C = rate_bound_constant(D2, psi[0], psi[-1])
         for k in range(100, k_max + 1):
             assert psi[k - 1] - psi[-1] <= C / k
+
+    def test_grid_cost_recovery_converges(self):
+        n = 32
+        c_star = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=1.0, seed=3))
+        mu, nu = synth_marginals(n, n, seed=3)
+        plan = forward_plan(c_star, mu, nu, 1.0)
+        problem = problem_from(plan, SYM_NONNEG, max_iter=5000, tol=1e-12)
+        solution = bcd_solve(problem, M_c=2.0, truth=c_star)
+        assert solution.report.converged
+        assert solution.report.rel_err_trace[-1] <= 1e-6
 
 
 class TestLipschitzProbe:

@@ -269,6 +269,17 @@ class TestTrainContinuousCommand:
         assert code == 1
         assert not (tmp_path / "t" / "checkpoint.json").exists()
 
+    def test_report_names_seed_and_rng_once(self, tmp_path, capsys):
+        self.write_random_pairs(tmp_path)
+        assert main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
+                     "--epochs", "1", "--out", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "t" / "report.json").read_text()
+        report = strict_json(tmp_path / "t" / "report.json")
+        assert text.count('"rng"') == 1 and report["rng"] == "numpy-PCG64"
+        assert text.count('"seed"') == 1 and text.count('"nominal_epsilon"') == 1
+        assert not {"seed", "nominal_epsilon", "rng"} & set(report["extras"])
+
 
 class TestEvalCommand:
     def test_prints_metrics(self, tmp_path, capsys, rng):
