@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=100000)
-    p.add_argument("--mode", choices=["auto", "direct", "log"], default="auto")
+    p.add_argument("--mode", choices=["auto", "direct", "log"], default="auto",
+                   help="auto: absorb out of e^+-100; direct: never; log: max-shift then auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_forward)
 

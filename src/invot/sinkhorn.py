@@ -4,8 +4,9 @@ All matrix scaling in the package (this solve, ``learn_cost`` and the BCD
 dual blocks) runs one absorption-stabilised sweep, `_Sweep` (Schmitzer,
 arXiv:1610.06519; Peyre & Cuturi, arXiv:1803.00567, sec. 4.4). ``mode`` sets
 when this solve absorbs: ``"direct"`` never, so a scaling that under/overflows
-raises NumericalOverflow; ``"log"`` every iteration; ``"auto"`` once a scaling
-leaves [e^-100, e^100] or under/overflows.
+raises NumericalOverflow; ``"auto"`` once a scaling leaves [e^-100, e^100] or
+under/overflows; ``"log"`` starts from a row-max-shifted kernel and then
+absorbs like ``"auto"``.
 
 An iteration costs two m-by-n matrix-vector products, and its traces reuse
 them: the plan diag(u) K diag(v) has mass u . (K v). No m-by-n exp runs
@@ -150,8 +151,8 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
 
     Convergence is declared when both L1 marginal residuals of the current
     plan fall below config.tol. Raises NotConverged (with the best iterate
-    attached) when the iteration budget runs out. ``extras["log_domain"]``
-    says whether the sweep absorbed at least once.
+    attached) when the iteration budget runs out. ``extras["absorptions"]``
+    counts absorptions; ``extras["log_domain"]`` says whether it is nonzero.
     """
     if mode not in ("auto", "direct", "log"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -187,8 +188,8 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
             break
         # the band e^{+-100} is well inside the float range (e^709); the last
         # iteration does not absorb, as only a next row half-step ends its shift
-        if it < config.max_iter and (mode == "log" or (mode == "auto" and max(
-                np.abs(np.log(s)).max() for s in (sweep.u, sweep.v)) > 100)):
+        if it < config.max_iter and mode != "direct" and max(
+                np.abs(np.log(s)).max() for s in (sweep.u, sweep.v)) > 100:
             sweep.absorb(axis=1)
             Kv = None
 
@@ -200,7 +201,7 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
         feasibility_residual=residual,
         converged=converged,
         wall_clock_seconds=time.perf_counter() - t0,
-        extras={"log_domain": sweep.absorptions > 0,
+        extras={"log_domain": sweep.absorptions > 0, "absorptions": sweep.absorptions,
                 "residual_trace": np.asarray(res_trace)},
     )
     feas_tol = max(residual * (1.01 if converged else 2.0), config.tol)

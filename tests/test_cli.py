@@ -68,6 +68,20 @@ class TestForwardCommand:
         assert code == 2
         assert (tmp_path / "out" / "report.json").exists()
 
+    def test_log_mode_reports_its_one_absorption(self, tmp_path):
+        # at eps = 0.01 the row-max-shifted start is the only absorption
+        assert main(["synth", "--n", "32", "--epsilon", "0.01", "--seed", "5",
+                     "--out", str(tmp_path / "s")]) == 0
+        code = main(["forward", "--cost", str(tmp_path / "s" / "cost.csv"),
+                     "--mu", str(tmp_path / "s" / "mu.csv"),
+                     "--nu", str(tmp_path / "s" / "nu.csv"),
+                     "--epsilon", "0.01", "--mode", "log",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        extras = json.loads((tmp_path / "out" / "report.json").read_text())["extras"]
+        assert extras["log_domain"] is True
+        assert extras["absorptions"] == 1
+
 
 class TestSynthCommand:
     def test_config_is_reproducible(self, tmp_path):

@@ -135,6 +135,39 @@ class TestSinkhornSolve:
         assert np.abs(shifted.plan.matrix - base.plan.matrix).max() <= 1e-12
 
 
+class TestLogModeAbsorbsByThreshold:
+    """``"log"`` absorbs once for its shifted start, then only when a scaling
+    leaves [e^-100, e^100]; absorption is exact, so the plan does not move."""
+
+    def test_one_absorption_when_scalings_stay_in_band(self):
+        c = synth_cost(SyntheticSpec(n=256, p=2.0, epsilon=0.01, seed=5))
+        mu, nu = synth_marginals(256, 256, seed=5)
+        result = sinkhorn_solve(c, mu, nu, tight(max_iter=100000, epsilon=0.01),
+                                mode="log")
+        assert result.report.extras["absorptions"] == 1
+        assert result.report.extras["log_domain"]
+
+    def test_absorbs_again_when_a_scaling_leaves_the_band(self):
+        c = np.array([[0.0, 2000.0], [2000.0, 0.0]])
+        mu = ProbabilityVector(np.array([0.9, 0.1]))
+        runs = {mode: sinkhorn_solve(c, mu, half, tight(epsilon=1.0), mode=mode)
+                for mode in ("log", "auto")}
+        assert runs["log"].report.converged
+        assert runs["log"].report.extras["absorptions"] > 1
+        ref = runs["auto"].plan.matrix
+        assert np.abs(runs["log"].plan.matrix - ref).max() <= 1e-12 * ref.max()
+
+    def test_constant_offset_leaves_plan_and_iterations(self):
+        n = 30
+        c = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=1.0, seed=2)).matrix
+        mu, nu = synth_marginals(n, n, seed=2)
+        base = sinkhorn_solve(c, mu, nu, tight(epsilon=1.0), mode="log")
+        shifted = sinkhorn_solve(c + 1000.0, mu, nu, tight(epsilon=1.0), mode="log")
+        assert shifted.report.iterations == base.report.iterations
+        ref = base.plan.matrix
+        assert np.abs(shifted.plan.matrix - ref).max() <= 1e-12 * ref.max()
+
+
 class TestPlanFromDuals:
     def test_zero_everything_gives_all_ones(self):
         duals = DualPotentials(np.zeros(2), np.zeros(3), epsilon=1.0)
