@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 input error, 2 non-convergence / divergence,
 3 identifiability refusal (observed plan contains zeros and --smooth-zeros
-was not given). All artifacts are CSV/JSON files in the data-io formats and
+was not given). A solver whose iteration budget runs out first returns its
+last iterate with ``report.converged`` False; ``forward``, ``inverse`` and
+``bcd`` then write every artifact, print one stderr line and exit 2
+(`_finish`). All artifacts are CSV/JSON files in the data-io formats and
 embed the resolved configuration and seed.
 """
 
@@ -26,7 +29,6 @@ from . import (
     SymmetricZeroDiag,
     SyntheticSpec,
     TrainConfig,
-    TransportPlan,
     bcd_solve,
     learn_cost,
     relative_error,
@@ -38,7 +40,7 @@ from . import (
     xavier_init,
 )
 from .continuous import eval_cost_on_grid
-from .errors import Diverged, InvotError, NotConverged, ZeroObservation
+from .errors import Diverged, InvotError, ZeroObservation
 from .fileio import (
     read_matrix_csv,
     read_pairs_csv,
@@ -49,6 +51,7 @@ from .fileio import (
     write_report_json,
     write_vector_csv,
 )
+from .scaling import _normalized_plan
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -91,6 +94,16 @@ def _parse_constraints(specs):
     return Composite(parts)
 
 
+def _finish(report, config) -> int:
+    """Exit 0, or exit 2 with one stderr line when the budget ran out first."""
+    if report.converged:
+        return EXIT_OK
+    print(f"not converged: tol {config.tol:.3e} not met in {report.iterations} "
+          f"iterations (feasibility residual {report.feasibility_residual:.3e})",
+          file=sys.stderr)
+    return EXIT_NOT_CONVERGED
+
+
 def cmd_synth(args) -> int:
     out = _outdir(args.out)
     spec = SyntheticSpec(n=args.n, p=args.p, epsilon=args.epsilon, seed=args.seed)
@@ -110,36 +123,23 @@ def cmd_forward(args) -> int:
     nu = ProbabilityVector(read_vector_csv(args.nu))
     config = SolverConfig(epsilon=args.epsilon, max_iter=args.max_iter,
                           tol=args.tol)
-    try:
-        result = sinkhorn_solve(cost, mu, nu, config, mode=args.mode)
-    except NotConverged as exc:
-        print(str(exc), file=sys.stderr)
-        result = exc.result
+    result = sinkhorn_solve(cost, mu, nu, config, mode=args.mode)
     write_matrix_csv(out / "plan.csv", result.plan.matrix)
     stacked = np.concatenate([result.duals.alpha, result.duals.beta]).reshape(-1, 1)
     write_matrix_csv(out / "duals.csv", stacked)
     write_report_json(out / "report.json", result.report, config)
-    return EXIT_OK if result.report.converged else EXIT_NOT_CONVERGED
+    return _finish(result.report, config)
 
 
 def _load_inverse_problem(args):
+    """The plan file as an InverseProblem, which refuses zero entries unless smoothed."""
     plan_matrix = read_matrix_csv(args.plan)
-    constraint = _parse_constraints(args.constraint)
+    smoothed = args.smooth_zeros and bool(np.any(plan_matrix == 0))
+    plan = (smooth_observed_zeros if smoothed else _normalized_plan)(plan_matrix)
     config = SolverConfig(epsilon=args.epsilon, max_iter=args.max_iter,
                           tol=args.tol)
-    smoothed = bool(np.any(plan_matrix == 0))
-    if smoothed and not args.smooth_zeros:
-        raise ZeroObservation(
-            "observed plan contains zero entries; rerun with --smooth-zeros "
-            "to opt in to delta-smoothing")
-    if smoothed:
-        plan = smooth_observed_zeros(plan_matrix)
-    else:
-        mu = ProbabilityVector(plan_matrix.sum(axis=1) / plan_matrix.sum())
-        nu = ProbabilityVector(plan_matrix.sum(axis=0) / plan_matrix.sum())
-        plan = TransportPlan(plan_matrix / plan_matrix.sum(), mu, nu, feas_tol=1e-6)
-    return InverseProblem(observed=plan, constraint=constraint, config=config,
-                          smoothed=smoothed)
+    return InverseProblem(observed=plan, constraint=_parse_constraints(args.constraint),
+                          config=config, smoothed=smoothed)
 
 
 def cmd_inverse(args) -> int:
@@ -159,10 +159,7 @@ def cmd_inverse(args) -> int:
         trace_cols.append(solution.report.rel_err_trace)
     write_matrix_csv(out / "trace.csv", np.column_stack(trace_cols))
     write_report_json(out / "report.json", solution.report, problem.config)
-    if not solution.report.converged:
-        print(f"cost change above {problem.config.tol:.3e} after "
-              f"{solution.report.iterations} iterations", file=sys.stderr)
-    return EXIT_OK if solution.report.converged else EXIT_NOT_CONVERGED
+    return _finish(solution.report, problem.config)
 
 
 def cmd_bench(args) -> int:
@@ -181,9 +178,10 @@ def cmd_bench(args) -> int:
                 c_star = synth_cost(spec)
                 mu, nu = synth_marginals(n, n, seed=seed)
                 fwd_cfg = SolverConfig(epsilon=eps, max_iter=200000, tol=1e-9)
-                plan = sinkhorn_solve(c_star, mu, nu, fwd_cfg).plan
+                forward = sinkhorn_solve(c_star, mu, nu, fwd_cfg)
+                failed |= not forward.report.converged
                 problem = InverseProblem(
-                    observed=plan,
+                    observed=forward.plan,
                     constraint=Composite([SymmetricZeroDiag(), Box(0.0, np.inf)]),
                     config=SolverConfig(epsilon=eps, max_iter=args.max_iter,
                                         tol=1e-14))
@@ -359,7 +357,7 @@ def main(argv=None) -> int:
     except ZeroObservation as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ZERO_OBSERVATION
-    except (NotConverged, Diverged) as exc:
+    except Diverged as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except (InvotError, OSError, ValueError) as exc:

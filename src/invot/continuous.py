@@ -204,7 +204,11 @@ def train(samples: SampleSet, cost: CostParameterization,
     """Minimize the sampled loss with Adam; deterministic per seed.
 
     ``regularizer``, when given, is R(c): it is called with the cost net and
-    must return (value, grads aligned with cost.net.parameters()).
+    must return (value, grads aligned with cost.net.parameters()). Training
+    has no stopping rule, so the report always says converged. Its
+    feasibility_residual is |I - 1|, with I the last epoch's mean of the
+    collocation estimate of the integral of e^{alpha + beta - c}; I = 1
+    where the loss is stationary in a constant shift of alpha.
     """
     rng = np.random.default_rng(config.seed)
     d_x = alpha_net.input_dim
@@ -219,7 +223,7 @@ def train(samples: SampleSet, cost: CostParameterization,
     epoch_losses = []
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
-        losses = []
+        losses, integrals = [], []
         for _step in range(steps_per_epoch):
             pi = np.arange(n) if batch >= n else rng.integers(0, n, size=batch)
             cx, cy = _split_xy(_sample_box(box, config.n_collocation, rng), d_x)
@@ -241,6 +245,7 @@ def train(samples: SampleSet, cost: CostParameterization,
             if not np.isfinite(loss) or abs(loss) > _DIVERGENCE_CAP:
                 raise Diverged(f"loss {loss!r} at epoch {epoch}")
             losses.append(loss)
+            integrals.append(integral)
 
             # d loss / d output: -1/k on pairs and w_col on collocation points
             # for alpha and beta, the negation of both for the cost
@@ -262,7 +267,7 @@ def train(samples: SampleSet, cost: CostParameterization,
         iterations=config.epochs * steps_per_epoch,
         objective_trace=np.asarray(epoch_losses),
         rel_err_trace=None,
-        feasibility_residual=float("nan"),
+        feasibility_residual=abs(float(np.mean(integrals)) - 1.0),
         converged=True,
         wall_clock_seconds=time.perf_counter() - t0,
     )

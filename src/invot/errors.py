@@ -45,14 +45,6 @@ class NumericalOverflow(InvotError):
     pass
 
 
-class NotConverged(InvotError):
-    """Iteration budget exhausted; the best iterate is attached as ``result``."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class DimMismatch(InvotError):
     pass
 

@@ -39,6 +39,9 @@ from .types import (
 )
 
 _ZERO_SMOOTH_DELTA = 1e-12
+_ZERO_REFUSAL = ("observed plan contains zero entries, which destroy "
+                 "identifiability; opt in to delta-smoothing with "
+                 "smooth_observed_zeros() (CLI: --smooth-zeros)")
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,17 @@ class InverseProblem:
 
     def __post_init__(self):
         if not self.observed.strictly_positive():
-            raise ZeroObservation(
-                "observed plan contains zero entries, which destroy "
-                "identifiability; use smooth_observed_zeros() to opt in to "
-                "delta-smoothing")
+            raise ZeroObservation(_ZERO_REFUSAL)
+
+
+def _normalized_plan(matrix) -> TransportPlan:
+    """matrix / its total, with marginals the row and column sums / the total."""
+    mat = as_matrix(matrix)
+    if not mat.any():  # no total to divide by; refused like any zero entry
+        raise ZeroObservation(_ZERO_REFUSAL)
+    total = mat.sum()
+    return TransportPlan(mat / total, ProbabilityVector(mat.sum(axis=1) / total),
+                         ProbabilityVector(mat.sum(axis=0) / total), feas_tol=1e-6)
 
 
 def smooth_observed_zeros(matrix) -> TransportPlan:
@@ -66,10 +76,7 @@ def smooth_observed_zeros(matrix) -> TransportPlan:
     """
     mat = np.array(as_matrix(matrix), dtype=float)
     mat[mat == 0] = _ZERO_SMOOTH_DELTA
-    mat /= mat.sum()
-    mu_s = ProbabilityVector(mat.sum(axis=1) / mat.sum())
-    nu_s = ProbabilityVector(mat.sum(axis=0) / mat.sum())
-    return TransportPlan(mat, mu_s, nu_s, feas_tol=1e-6)
+    return _normalized_plan(mat)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotConverged, NumericalOverflow
+from .errors import DimMismatch, NumericalOverflow
 from .types import (
     DualPotentials,
     ProbabilityVector,
@@ -150,9 +150,11 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
     """Solve entropy-regularized OT; returns duals, feasible plan, and report.
 
     Convergence is declared when both L1 marginal residuals of the current
-    plan fall below config.tol. Raises NotConverged (with the best iterate
-    attached) when the iteration budget runs out. ``extras["absorptions"]``
-    counts absorptions; ``extras["log_domain"]`` says whether it is nonzero.
+    plan fall below config.tol. When the iteration budget runs out first, the
+    last iterate is returned with ``report.converged`` False, as
+    ``learn_cost`` and ``bcd_solve`` do; its plan is checked against twice
+    the final residual. ``extras["absorptions"]`` counts absorptions;
+    ``extras["log_domain"]`` says whether it is nonzero.
     """
     if mode not in ("auto", "direct", "log"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -207,9 +209,4 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
     feas_tol = max(residual * (1.01 if converged else 2.0), config.tol)
     plan = TransportPlan(plan_from_duals(duals, c), mu, nu, feas_tol=feas_tol)
     value = _dual_value(duals.alpha, duals.beta, mu, nu, eps, float(plan.matrix.sum()))
-    result = SinkhornResult(duals=duals, plan=plan, dual_objective=value, report=report)
-    if not converged:
-        raise NotConverged(
-            f"marginal residual {residual:.3e} above {config.tol:.3e} after "
-            f"{it} iterations", result=result)
-    return result
+    return SinkhornResult(duals=duals, plan=plan, dual_objective=value, report=report)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -53,11 +54,12 @@ class TestForwardCommand:
                                 ProbabilityVector(nu),
                                 SolverConfig(epsilon=0.5, max_iter=100000,
                                              tol=1e-10))
+        assert result.report.converged
         # CSV round trip is bitwise, so artifacts equal the library output
         assert np.array_equal(read_matrix_csv(tmp_path / "out" / "plan.csv"),
                               result.plan.matrix)
 
-    def test_not_converged_exit_code(self, tmp_path):
+    def test_not_converged_exit_code(self, tmp_path, capsys):
         write_problem(tmp_path, np.array([[0.0, 1.0], [0.5, 0.2]]),
                       np.array([0.9, 0.1]), np.full(2, 0.5))
         code = main(["forward", "--cost", str(tmp_path / "cost.csv"),
@@ -65,8 +67,14 @@ class TestForwardCommand:
                      "--nu", str(tmp_path / "nu.csv"),
                      "--epsilon", "0.05", "--tol", "1e-15",
                      "--max-iter", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
         assert code == 2
-        assert (tmp_path / "out" / "report.json").exists()
+        assert err.count("\n") == 1
+        assert err.startswith("not converged: tol 1.000e-15 not met in 2 iterations")
+        for name in ("plan.csv", "duals.csv"):
+            assert (tmp_path / "out" / name).exists()
+        report = strict_json(tmp_path / "out" / "report.json")
+        assert report["converged"] is False and report["iterations"] == 2
 
     def test_log_mode_reports_its_one_absorption(self, tmp_path):
         # at eps = 0.01 the row-max-shifted start is the only absorption
@@ -175,8 +183,17 @@ class TestInverseCommand:
                          np.array([[0.5, 0.0], [0.0, 0.5]]))
         code = main(["inverse", "--plan", str(tmp_path / "plan.csv"),
                      "--out", str(tmp_path / "i")])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 3
+        assert "smooth_observed_zeros()" in err and "--smooth-zeros" in err
+
+    def test_all_zero_plan_refused(self, tmp_path, capsys):
+        write_matrix_csv(tmp_path / "plan.csv", np.zeros((2, 2)))
+        code = main(["inverse", "--plan", str(tmp_path / "plan.csv"),
+                     "--out", str(tmp_path / "i")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "smooth_observed_zeros()" in err and "--smooth-zeros" in err
 
     def test_zero_observation_smoothing_opt_in(self, tmp_path):
         write_matrix_csv(tmp_path / "plan.csv",
@@ -197,6 +214,27 @@ class TestInverseCommand:
         assert code == 1
 
 
+class TestBudgetRunsOut:
+    """inverse and bcd: every artifact, one stderr line, exit 2 (forward:
+    TestForwardCommand.test_not_converged_exit_code)."""
+
+    @pytest.mark.parametrize("command", ["bcd", "inverse"])
+    def test_one_line_and_exit_2(self, tmp_path, capsys, command):
+        synth_forward(tmp_path, n=12)
+        capsys.readouterr()
+        code = main([command, "--plan", str(tmp_path / "f" / "plan.csv"),
+                     "--constraint", "sym0", "--epsilon", "0.5", "--tol", "1e-15",
+                     "--max-iter", "3", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("not converged: tol 1.000e-15 not met in 3 iterations")
+        for name in ("cost.csv", "trace.csv"):
+            assert (tmp_path / "o" / name).exists()
+        report = strict_json(tmp_path / "o" / "report.json")
+        assert report["converged"] is False and report["iterations"] == 3
+
+
 class TestBenchCommand:
     def test_row_count_and_layout(self, tmp_path):
         code = main(["bench", "--sizes", "12,16", "--epsilons", "1.0,0.5",
@@ -206,6 +244,18 @@ class TestBenchCommand:
         table = read_matrix_csv(tmp_path / "b" / "bench.csv")
         assert table.shape == (4, 4)  # one row per (epsilon, size) pair
         assert set(table[:, 0]) == {12.0, 16.0}
+
+    def test_unconverged_forward_is_a_failure(self, tmp_path, monkeypatch):
+        def budget_ran_out(*args, **kwargs):
+            result = sinkhorn_solve(*args, **kwargs)
+            report = dataclasses.replace(result.report, converged=False)
+            return dataclasses.replace(result, report=report)
+
+        monkeypatch.setattr("invot.cli.sinkhorn_solve", budget_ran_out)
+        code = main(["bench", "--sizes", "12", "--epsilons", "1.0",
+                     "--reps", "1", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert read_matrix_csv(tmp_path / "b" / "bench.csv").shape == (1, 4)
 
     @pytest.mark.parametrize("flag,value", [("--sizes", "abc"),
                                             ("--epsilons", "x")])
@@ -330,9 +380,9 @@ class TestArtifacts:
         capsys.readouterr()
         for out in ("f", "inverse", "bcd", "t"):
             strict_json(tmp_path / out / "report.json")
-        # training reports no feasibility residual: NaN, written as null
+        # training reports |I - 1| for its integral estimate I: a number
         assert strict_json(tmp_path / "t" / "report.json")[
-            "feasibility_residual"] is None
+            "feasibility_residual"] >= 0
 
     @pytest.mark.parametrize("command,bad", [
         ("forward", "cost"), ("inverse", "plan"), ("bcd", "plan"),

@@ -260,9 +260,10 @@ def quadratic_task(n_pairs=2000, seed=0):
     eps = 0.5
     c_star = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=eps, seed=seed))
     mu, nu = synth_marginals(n, n, seed=seed)
-    plan = sinkhorn_solve(c_star, mu, nu,
-                          SolverConfig(epsilon=eps, max_iter=50000,
-                                       tol=1e-10)).plan
+    forward = sinkhorn_solve(c_star, mu, nu,
+                             SolverConfig(epsilon=eps, max_iter=50000, tol=1e-10))
+    assert forward.report.converged
+    plan = forward.plan
     support = np.arange(n) / n
     return sample_pairs(plan, support, support, N=n_pairs, seed=seed)
 
@@ -406,6 +407,25 @@ class TestTrainStep:
         report = train(samples, *nets, self.config)[3]
         assert report.iterations == 6
         assert calls == {"forward": 3 * 6, "backward": 3 * 6}
+
+    def test_feasibility_residual_is_last_epoch_integral(self):
+        # full batch: one step per epoch, and the rng draws only collocation
+        # points, so the third step's integral can be rebuilt from the nets
+        # after two epochs and the third draw
+        import dataclasses
+        from invot.continuous import _log_integrand, _sample_box
+        samples = quadratic_task(n_pairs=200)
+        config = dataclasses.replace(self.config, batch_size=0)
+        report = train(samples, *small_nets(seed=3), config)[3]
+        cost, alpha, beta = small_nets(seed=3)
+        train(samples, cost, alpha, beta, dataclasses.replace(config, epochs=2))
+        rng = np.random.default_rng(config.seed)
+        for _ in range(3):
+            pts = _sample_box(config.domain_box, config.n_collocation, rng)
+        integral = float(np.mean(np.exp(_log_integrand(alpha, beta, cost, pts))))
+        assert report.converged is True
+        assert np.isfinite(report.feasibility_residual)
+        assert report.feasibility_residual == pytest.approx(abs(integral - 1), rel=1e-12)
 
     def test_constant_regularizer_shifts_loss_only(self):
         samples = quadratic_task(n_pairs=200)

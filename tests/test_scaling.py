@@ -37,7 +37,9 @@ SYM_NONNEG = Composite([SymmetricZeroDiag(), Box(0.0, np.inf)])
 
 def forward_plan(cost, mu, nu, eps, tol=1e-12):
     cfg = SolverConfig(epsilon=eps, max_iter=100000, tol=tol)
-    return sinkhorn_solve(cost, mu, nu, cfg).plan
+    result = sinkhorn_solve(cost, mu, nu, cfg)
+    assert result.report.converged
+    return result.plan
 
 
 def problem_from(plan, constraint=SYM_NONNEG, eps=1.0, max_iter=2000,
@@ -75,6 +77,7 @@ class TestObjectiveE:
         result = sinkhorn_solve(c, mu, nu,
                                 SolverConfig(epsilon=eps, max_iter=100000,
                                              tol=1e-13))
+        assert result.report.converged
         problem = problem_from(result.plan, NoConstraint(), eps=eps)
         alpha = result.duals.alpha
         beta = result.duals.beta
