@@ -23,8 +23,6 @@ from .constraints import (
     LinearAffinity,
     NoConstraint,
     SymmetricZeroDiag,
-    prox_box,
-    prox_linear_affinity,
     prox_symmetric_zero_diag,
 )
 from .continuous import (
@@ -44,7 +42,6 @@ from .scaling import (
     InverseSolution,
     learn_cost,
     objective_E,
-    set_epsilon_one,
     smooth_observed_zeros,
 )
 from .sinkhorn import SinkhornResult, dual_objective, plan_from_duals, sinkhorn_solve

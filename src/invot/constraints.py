@@ -23,11 +23,6 @@ def prox_symmetric_zero_diag(chat) -> np.ndarray:
     return out
 
 
-def prox_box(chat, lower: float, upper: float) -> np.ndarray:
-    """Entrywise clamp to [lower, upper]."""
-    return Box(lower, upper).prox(chat)
-
-
 def _check_full_row_rank(mat, name):
     mat = np.asarray(mat, dtype=float)
     p, m = mat.shape
@@ -38,12 +33,6 @@ def _check_full_row_rank(mat, name):
         raise RankDeficient(f"{name} is not full row rank (sigma_min/sigma_max = "
                             f"{s[-1] / s[0]:.3e})")
     return mat
-
-
-def prox_linear_affinity(chat, G, D, sign: int = 1):
-    """(projected cost, affinity A) of chat under LinearAffinity(G, D, sign)."""
-    constraint = LinearAffinity(G, D, sign)
-    return constraint.prox(chat), constraint.affinity(chat)
 
 
 class Constraint:

@@ -11,12 +11,19 @@ sym0, rank 2 for LinearAffinity) and the Box tail clamps in place. The sweep's
 kernel is rebuilt in place as the plan of the new (alpha, beta, c); its K 1
 serves the next row half-step, the objective_E trace and the residual.
 
+So the loop is a fixed-point map G of x = (alpha, beta) alone, which
+`learn_cost` accelerates by type-II Anderson mixing with memory 5 (Walker &
+Ni, SIAM J. Numer. Anal. 49, 2011) in the gauge mean(alpha) = mean(beta):
+x <- g - dG gamma, g = G(x), gamma from the ridged k-by-k normal equations
+of the last differences dF of f = G(x) - x. The box clamp makes G nonsmooth,
+so a guard (Zhang, O'Donoghue & Boyd, arXiv:1808.03971) refuses a candidate
+that raises objective_E, clears the memory and takes the plain step x = g.
+
 Only c/eps is identifiable, so solving at eps = 1 recovers c/eps_true.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -39,6 +46,7 @@ from .types import (
 )
 
 _ZERO_SMOOTH_DELTA = 1e-12
+_MEMORY = 5  # Anderson memory of learn_cost
 _ZERO_REFUSAL = ("observed plan contains zero entries, which destroy "
                  "identifiability; opt in to delta-smoothing with "
                  "smooth_observed_zeros() (CLI: --smooth-zeros)")
@@ -105,12 +113,6 @@ def objective_E(alpha, beta, cost, problem: InverseProblem) -> float:
     return float(-alpha @ mu - beta @ nu + (c * pihat).sum() + s)
 
 
-def set_epsilon_one(problem: InverseProblem) -> InverseProblem:
-    """Return the same problem with eps = 1; the result is read as c/eps_true."""
-    config = dataclasses.replace(problem.config, epsilon=1.0)
-    return dataclasses.replace(problem, config=config)
-
-
 def learn_cost(problem: InverseProblem, c_init=None, truth=None,
                target_rel_err=None) -> InverseSolution:
     """Run the matrix-scaling cost-learning loop until the cost stabilizes.
@@ -119,6 +121,10 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     below config.tol. When ``truth`` is given, a relative-error trace against
     it is recorded in the report; ``target_rel_err`` additionally stops the
     loop once that error drops to the target (time-to-target benchmarking).
+
+    The returned duals are in the gauge mean(alpha) = mean(beta), and the
+    returned cost is built from them. ``extras["anderson_restarts"]`` counts
+    the extrapolated steps that the objective_E guard refused.
     """
     if target_rel_err is not None and truth is None:
         raise BadBounds("target_rel_err requires a reference cost")
@@ -126,6 +132,7 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     mu = problem.observed.row_marginal.values
     nu = problem.observed.col_marginal.values
     eps = problem.config.epsilon
+    m, n = pihat.shape
     rel_err = None if truth is None else _error_to(truth, pihat.shape)
     c = np.zeros(pihat.shape) if c_init is None else np.array(as_matrix(c_init), dtype=float)
     c_next = np.empty_like(c)  # c and c_next swap roles: the loop allocates no m-by-n array
@@ -133,27 +140,57 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     head, tail = problem.constraint.split()
     PL = head.prox(L)
 
-    obj_trace, err_trace, converged, it = [], [], False, 0
+    def settle(x, out):
+        """c(x) into out and the sweep reset to (c(x), x); returns K 1, objective_E."""
+        alpha, beta = x[:m], x[m:]
+        head.prox_sum(alpha, beta, out=out)
+        out += PL
+        for part in tail:
+            part.prox_(out)
+        sweep.reset(out, alpha, beta)
+        Kv = sweep.K @ sweep.v
+        with np.errstate(over="ignore"):  # +inf, as in objective_E
+            return Kv, float(-alpha @ mu - beta @ nu + np.vdot(out, pihat)
+                             + eps * Kv.sum())
+
+    # ring of the last differences of g = G(x) and f = g - x, x = (alpha, beta)
+    dG, dF = np.empty((_MEMORY, m + n)), np.empty((_MEMORY, m + n))
+    # g + (weight @ g) * shift has mean(alpha) = mean(beta) and the same alpha + beta
+    shift = np.concatenate((np.ones(m), -np.ones(n)))
+    weight = np.concatenate((np.full(m, -0.5 / m), np.full(n, 0.5 / n)))
+    x = g_prev = f_prev = None
+    obj_trace, err_trace, converged = [], [], False
+    it = pushes = restarts = 0
     t0 = time.perf_counter()
-    sweep = _Sweep(c, mu, nu, eps, np.zeros(mu.size), np.zeros(nu.size))
+    sweep = _Sweep(c, mu, nu, eps, np.zeros(m), np.zeros(n))
     Kv = None  # K 1 of the current sweep (v = 1), reused by its row half-step
     while it < problem.config.max_iter:
         it += 1
         sweep.scale(1, Kv)
         sweep.scale(0)
-        alpha, beta = sweep.duals()
-        head.prox_sum(alpha, beta, out=c_next)
-        c_next += PL
-        for part in tail:
-            part.prox_(c_next)
+        g = np.concatenate(sweep.duals())
+        g += (weight @ g) * shift
+        f = None if x is None else g - x
+        if f_prev is not None:
+            np.subtract(g, g_prev, out=dG[pushes % _MEMORY])
+            np.subtract(f, f_prev, out=dF[pushes % _MEMORY])
+            pushes += 1
+        g_prev, f_prev = g, f
+        x = g
+        if pushes:  # gamma = argmin ||f - dF^T gamma||; tiny keeps A regular at dF = 0
+            k = min(pushes, _MEMORY)
+            A = dF[:k] @ dF[:k].T
+            A.flat[::k + 1] += 1e-12 * A.trace() + 1e-300
+            x = g - np.linalg.solve(A, dF[:k] @ f) @ dG[:k]
+        Kv, E = settle(x, c_next)
+        # the guard: an extrapolated x that raises objective_E is refused
+        if pushes and not E <= obj_trace[-1] + 1e-13 * abs(obj_trace[-1]):
+            restarts, pushes, x = restarts + 1, 0, g
+            Kv, E = settle(x, c_next)
+        obj_trace.append(E)
         # ||c - c_next||_F, bitwise np.linalg.norm, with c - c_next written into c
         delta = float(np.sqrt(np.vdot(np.subtract(c, c_next, out=c), c)))
         c, c_next = c_next, c
-        sweep.reset(c, alpha, beta)
-        Kv = sweep.K @ sweep.v
-        with np.errstate(over="ignore"):  # +inf, as in objective_E
-            obj_trace.append(float(-alpha @ mu - beta @ nu + np.vdot(c, pihat)
-                                   + eps * Kv.sum()))
         if rel_err is not None:
             err_trace.append(rel_err(c))
             if target_rel_err is not None and err_trace[-1] <= target_rel_err:
@@ -163,6 +200,7 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
             converged = True
             break
 
+    alpha, beta = x[:m], x[m:]
     duals = DualPotentials(alpha=alpha, beta=beta, epsilon=eps)
     affinity = (problem.constraint.affinity(_outer_sum(alpha, beta) + L)
                 if isinstance(problem.constraint, LinearAffinity) else None)
@@ -174,7 +212,8 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
                                  float(np.abs(sweep.K.sum(axis=0) - nu).sum())),
         converged=converged,
         wall_clock_seconds=time.perf_counter() - t0,
-        extras={"smoothed_zeros": problem.smoothed, "absorptions": sweep.absorptions},
+        extras={"smoothed_zeros": problem.smoothed, "absorptions": sweep.absorptions,
+                "anderson_restarts": restarts},
     )
     return InverseSolution(cost=CostMatrix(c), duals=duals, affinity=affinity,
                            report=report)

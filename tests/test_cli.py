@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from invot import ProbabilityVector, SampleSet, SolverConfig, sinkhorn_solve
+from invot import (
+    Box,
+    InverseProblem,
+    ProbabilityVector,
+    SampleSet,
+    SolverConfig,
+    learn_cost,
+    sinkhorn_solve,
+)
 from invot.cli import main
 from invot.fileio import (
     read_matrix_csv,
@@ -12,6 +20,7 @@ from invot.fileio import (
     write_pairs_csv,
     write_vector_csv,
 )
+from invot.scaling import _normalized_plan
 
 
 def write_problem(tmp_path, cost, mu, nu):
@@ -136,6 +145,23 @@ class TestInverseCommand:
         trace = read_matrix_csv(tmp_path / "i" / "trace.csv")
         assert trace.shape[1] == 3  # iteration, objective, relative error
         assert trace[-1, 2] <= 1e-3
+
+    def test_report_counts_refused_extrapolations(self, tmp_path):
+        synth_forward(tmp_path, n=20)
+        plan_file = tmp_path / "f" / "plan.csv"
+        assert main(["inverse", "--plan", str(plan_file),
+                     "--constraint", "box:0:0.8", "--epsilon", "0.5",
+                     "--max-iter", "5000", "--tol", "1e-6",
+                     "--out", str(tmp_path / "i")]) == 0
+        report = strict_json(tmp_path / "i" / "report.json")
+        problem = InverseProblem(
+            observed=_normalized_plan(read_matrix_csv(plan_file)),
+            constraint=Box(0.0, 0.8),
+            config=SolverConfig(epsilon=0.5, max_iter=5000, tol=1e-6))
+        want = learn_cost(problem).report
+        assert report["iterations"] == want.iterations
+        assert (report["extras"]["anderson_restarts"]
+                == want.extras["anderson_restarts"] > 0)
 
     def test_bcd_agrees_with_scaling(self, tmp_path):
         synth_forward(tmp_path, n=12)

@@ -9,8 +9,6 @@ from invot import (
     LinearAffinity,
     NoConstraint,
     SymmetricZeroDiag,
-    prox_box,
-    prox_linear_affinity,
     prox_symmetric_zero_diag,
 )
 from invot.errors import BadBounds, NonSquare, RankDeficient
@@ -41,28 +39,34 @@ class TestSymmetricZeroDiag:
 class TestBox:
     def test_interior_unchanged(self, rng):
         c = rng.uniform(0.2, 0.8, size=(3, 3))
-        assert np.array_equal(prox_box(c, 0.0, 1.0), c)
+        assert np.array_equal(Box(0.0, 1.0).prox(c), c)
 
     def test_clamp(self):
-        got = prox_box([[-1.0, 0.5], [2.0, 3.0]], 0.0, 1.0)
+        got = Box(0.0, 1.0).prox([[-1.0, 0.5], [2.0, 3.0]])
         assert np.array_equal(got, np.array([[0.0, 0.5], [1.0, 1.0]]))
 
     def test_bad_bounds(self):
         with pytest.raises(BadBounds):
-            prox_box(np.zeros((2, 2)), 1.0, 0.0)
+            Box(1.0, 0.0)
 
     def test_composition_preserves_symmetry(self, rng):
         c = rng.normal(size=(4, 4))
         sym = prox_symmetric_zero_diag(c)
-        clamped = prox_box(sym, 0.0, 1.0)
+        clamped = Box(0.0, 1.0).prox(sym)
         assert np.array_equal(clamped, clamped.T)
         assert np.all(np.diag(clamped) == 0)
+
+
+def project(chat, G, D, sign=1):
+    """(projected cost, affinity A) of chat under LinearAffinity(G, D, sign)."""
+    constraint = LinearAffinity(G, D, sign)
+    return constraint.prox(chat), constraint.affinity(chat)
 
 
 class TestLinearAffinity:
     def test_identity_features_are_transparent(self, rng):
         chat = rng.normal(size=(3, 4))
-        c, A = prox_linear_affinity(chat, np.eye(3), np.eye(4), sign=1)
+        c, A = project(chat, np.eye(3), np.eye(4), sign=1)
         assert np.allclose(A, chat, atol=1e-12)
         assert np.allclose(c, chat, atol=1e-12)
 
@@ -72,7 +76,7 @@ class TestLinearAffinity:
         D = rng.normal(size=(3, 6))
         A0 = rng.normal(size=(4, 3))
         chat = sign * (G.T @ A0 @ D)
-        c, A = prox_linear_affinity(chat, G, D, sign=sign)
+        c, A = project(chat, G, D, sign=sign)
         assert np.abs(A - A0).max() <= 1e-10
         assert np.abs(c - chat).max() <= 1e-10
 
@@ -84,15 +88,14 @@ class TestLinearAffinity:
         M = np.kron(D.T, G.T)  # maps vec(A) (column stacking) to vec(G^T A D)
         a, *_ = np.linalg.lstsq(M, chat.flatten(order="F"), rcond=None)
         A_oracle = a.reshape((3, 2), order="F")
-        c, A = prox_linear_affinity(chat, G, D, sign=1)
+        c, A = project(chat, G, D, sign=1)
         assert np.abs(A - A_oracle).max() <= 1e-8
         assert np.abs(c - G.T @ A_oracle @ D).max() <= 1e-8
 
     def test_rank_deficiency_rejected(self, rng):
         G = np.ones((2, 5))
         with pytest.raises(RankDeficient):
-            prox_linear_affinity(rng.normal(size=(5, 4)), G,
-                                 rng.normal(size=(2, 4)))
+            LinearAffinity(G, rng.normal(size=(2, 4)))
         with pytest.raises(RankDeficient):
             LinearAffinity(rng.normal(size=(6, 4)), rng.normal(size=(2, 4)))
 
@@ -105,7 +108,7 @@ class TestConstraintObjects:
     def test_composite_applies_in_order(self, rng):
         c = rng.normal(size=(4, 4)) * 3
         combo = Composite([SymmetricZeroDiag(), Box(0.0, 1.0)])
-        expect = prox_box(prox_symmetric_zero_diag(c), 0.0, 1.0)
+        expect = Box(0.0, 1.0).prox(prox_symmetric_zero_diag(c))
         assert np.array_equal(combo.prox(c), expect)
 
 
@@ -152,8 +155,8 @@ def test_proxes_idempotent_and_nonexpansive(x, y):
     fixed_D = np.array([[0.7, 0.0, 1.0, 0.0], [0.2, 1.0, 0.0, -0.5]])
     proxes = [
         prox_symmetric_zero_diag,
-        lambda c: prox_box(c, 0.0, 1.0),
-        lambda c: prox_linear_affinity(c, fixed_G, fixed_D)[0],
+        lambda c: Box(0.0, 1.0).prox(c),
+        LinearAffinity(fixed_G, fixed_D).prox,
     ]
     for prox in proxes:
         px, py = prox(x), prox(y)
