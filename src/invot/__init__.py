@@ -30,8 +30,6 @@ from .continuous import (
     SampleSet,
     TrainConfig,
     eval_cost_on_grid,
-    loss_eval,
-    mc_integral_importance,
     mc_integral_uniform,
     train,
 )
@@ -53,7 +51,6 @@ from .types import (
     SolverConfig,
     TransportPlan,
     entropy,
-    kl_divergence,
     relative_error,
 )
 

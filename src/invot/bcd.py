@@ -158,7 +158,7 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, truth=None,
     ``state_log``, when supplied, receives the state of every iteration, not
     a copy: states are frozen (used by the boundedness checks).
     """
-    if M_c <= 0:
+    if not M_c > 0:
         raise BadBounds("M_c must be positive")
     pihat = problem.observed.matrix
     m, n = pihat.shape
@@ -219,12 +219,12 @@ def rate_bound_constant(D2: float, psi0: float, psi_ref: float) -> float:
     return 18.0 * D2 * max(first, 2.0, psi0 - psi_ref)
 
 
-def lipschitz_probe(a, b, samples: int = 10000, seed: int = 0,
-                    radius: float = 10.0) -> float:
+def lipschitz_probe(a, b, samples: int = 10000, seed: int = 0) -> float:
     """Max sampled gradient ratio for f(x) = <a,x> + log sum_i b_i e^{x_i}.
 
-    The ratio must not exceed 1 (up to rounding); the linear part cancels in
-    gradient differences, leaving a softmax difference.
+    Pairs x, y are drawn uniformly from [-10, 10]^n. The ratio must not
+    exceed 1 (up to rounding); the linear part cancels in gradient
+    differences, leaving a softmax difference.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -244,8 +244,8 @@ def lipschitz_probe(a, b, samples: int = 10000, seed: int = 0,
 
     worst = 0.0
     for _ in range(samples):
-        x = rng.uniform(-radius, radius, size=n)
-        y = rng.uniform(-radius, radius, size=n)
+        x = rng.uniform(-10.0, 10.0, size=n)
+        y = rng.uniform(-10.0, 10.0, size=n)
         denom = float(np.linalg.norm(x - y))
         if denom == 0:
             continue

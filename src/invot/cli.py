@@ -81,6 +81,8 @@ def _parse_constraints(specs):
             parts.append(Box(float(lo), float(hi)))
         elif spec.startswith("affinity:"):
             _, gfile, dfile, sign = spec.split(":")
+            if sign not in ("+", "-"):
+                raise ValueError(f"affinity sign must be + or -, not {sign!r}")
             parts.append(LinearAffinity(read_matrix_csv(gfile),
                                         read_matrix_csv(dfile),
                                         1 if sign == "+" else -1))

@@ -10,8 +10,8 @@ with the means over a batch of pairs (x_k, y_k), R(c) an optional
 regularizer of the cost net, and the integral estimated by Monte Carlo over
 fresh collocation points each step. A step stacks the collocation points
 below the pair batch, so each net runs one forward and one backward pass.
-Training runs at eps = 1 internally; the learned cost is c/eps of the
-generating problem and can be rescaled by the nominal eps afterwards.
+Training runs at eps = 1: the learned cost is c/eps of the generating
+problem.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadBounds, DimMismatch, Diverged, SingularCovariance, UnreliableEstimate
+from .errors import BadBounds, DimMismatch, Diverged
 from .nets import AdamState, FeedForwardNet, adam_step
 from .types import SolveReport
 
 _DIVERGENCE_CAP = 1e8
-_IMPORTANCE_CV_CAP = 10.0
 
 
 @dataclass
@@ -85,20 +84,16 @@ class SampleSet:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
-    adam_betas: Tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     batch_size: int = 0  # 0 = full batch
     n_collocation: int = 500
     epochs: int = 100
     seed: int = 0
     domain_box: Sequence[Tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0))
-    nominal_epsilon: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.learning_rate < np.inf and 0 < self.adam_eps < np.inf
-                and self.batch_size >= 0 and self.n_collocation > 0
-                and self.epochs > 0 and self.nominal_epsilon > 0):
-            raise BadBounds("train configuration values must be positive (rates finite)")
+        if not (0 < self.learning_rate < np.inf and self.batch_size >= 0
+                and self.n_collocation > 0 and self.epochs > 0):
+            raise BadBounds("train configuration values must be positive (rate finite)")
         if len(self.domain_box) == 0 or any(
                 not -np.inf < lo < hi < np.inf for lo, hi in self.domain_box):
             raise BadBounds("domain box must be nonempty with finite lo < hi per coordinate")
@@ -137,55 +132,6 @@ def mc_integral_uniform(alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
     pts = _sample_box(box, n_s, rng)
     log_g = _log_integrand(alpha_net, beta_net, cost, pts)
     return _box_volume(box) * float(np.mean(np.exp(log_g)))
-
-
-def mc_integral_importance(alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
-                           cost: CostParameterization, mean, cov, n_s: int,
-                           seed: int = 0) -> float:
-    """Gaussian importance-sampling estimate of the exponential integral.
-
-    Raises UnreliableEstimate when the sample coefficient of variation of the
-    weights exceeds 10 (e.g. when the integrand does not decay).
-    """
-    if n_s < 1:
-        raise BadBounds("n_s must be at least 1")
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    d = mean.size
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    rng = np.random.default_rng(seed)
-    pts = mean + rng.standard_normal((n_s, d)) @ chol.T
-    sol = np.linalg.solve(chol, (pts - mean).T)
-    log_rho = (-0.5 * np.sum(sol ** 2, axis=0)
-               - 0.5 * d * np.log(2 * np.pi)
-               - float(np.sum(np.log(np.diag(chol)))))
-    log_g = _log_integrand(alpha_net, beta_net, cost, pts)
-    with np.errstate(over="ignore"):
-        w = np.exp(log_g - log_rho)
-    est = float(np.mean(w))
-    if not np.isfinite(est):
-        raise UnreliableEstimate("importance weights overflow")
-    if est > 0:
-        cv = float(np.std(w) / est)
-        if cv > _IMPORTANCE_CV_CAP:
-            raise UnreliableEstimate(
-                f"weight coefficient of variation {cv:.2f} exceeds "
-                f"{_IMPORTANCE_CV_CAP}")
-    return est
-
-
-def loss_eval(alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
-              cost: CostParameterization, x_batch, y_batch, pair_x, pair_y,
-              integral_estimate: float, regularizer_value: float = 0.0) -> float:
-    """Assemble the training loss from batch means and a collocation estimate."""
-    a, _ = alpha_net.forward_batch(x_batch)
-    b, _ = beta_net.forward_batch(y_batch)
-    c = cost.evaluate(pair_x, pair_y)
-    return float(regularizer_value - np.mean(a) - np.mean(b) + np.mean(c)
-                 + integral_estimate)
 
 
 def eval_cost_on_grid(cost: CostParameterization, grid_x, grid_y) -> np.ndarray:
@@ -257,9 +203,7 @@ def train(samples: SampleSet, cost: CostParameterization,
             if reg_grads is not None:
                 grads[2] = [g + r for g, r in zip(grads[2], reg_grads)]
             for net, g, state in zip(nets, grads, states):
-                new, _ = adam_step(net.parameters(), g, state,
-                                   lr=config.learning_rate,
-                                   betas=config.adam_betas, eps=config.adam_eps)
+                new, _ = adam_step(net.parameters(), g, state, lr=config.learning_rate)
                 net.set_parameters(new)
         epoch_losses.append(float(np.mean(losses)))
 

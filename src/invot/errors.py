@@ -17,10 +17,6 @@ class MarginalMismatch(InvotError):
     pass
 
 
-class SupportViolation(InvotError):
-    pass
-
-
 class ZeroReference(InvotError):
     pass
 
@@ -47,14 +43,6 @@ class NumericalOverflow(InvotError):
 
 class DimMismatch(InvotError):
     pass
-
-
-class SingularCovariance(InvotError):
-    pass
-
-
-class UnreliableEstimate(InvotError):
-    """Importance-sampling estimate rejected by the variance guard."""
 
 
 class Diverged(InvotError):

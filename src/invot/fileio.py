@@ -151,7 +151,6 @@ def read_checkpoint(path):
         tc = dict(blob["train_config"])
         if set(tc) != {f.name for f in fields(TrainConfig)}:
             raise ParseError(f"train_config keys {sorted(tc)} are not TrainConfig's fields")
-        tc["adam_betas"] = tuple(tc["adam_betas"])
         tc["domain_box"] = tuple(tuple(b) for b in tc["domain_box"])
         net, alpha_net, beta_net = (_net_from_blob(blob[k]) for k in ("cost", "alpha", "beta"))
         cost = CostParameterization(blob["input_mode"], net, blob["scale"])

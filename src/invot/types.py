@@ -3,8 +3,8 @@
 Conventions used throughout the library:
 
 - probabilities and transport plans are dense float64 arrays,
-- ``0 * (log 0 - 1) := 0`` in the entropy and ``0 * log(0/x) := 0`` in the
-  KL divergence (continuous extension, needed for sparse observed plans),
+- ``0 * (log 0 - 1) := 0`` in the entropy (continuous extension, needed for
+  sparse observed plans),
 - all containers are immutable after construction and all operations here
   are pure functions.
 """
@@ -22,7 +22,6 @@ from .errors import (
     MarginalMismatch,
     MassMismatch,
     NegativeEntry,
-    SupportViolation,
     ZeroReference,
 )
 
@@ -175,8 +174,9 @@ class SolverConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and self.max_iter > 0 and 0 < self.tol < 1):
-            raise BadBounds("epsilon, max_iter must be positive, tol in (0, 1)")
+        if not (0 < self.epsilon < np.inf and self.max_iter > 0 and 0 < self.tol < 1):
+            raise BadBounds("epsilon must be positive and finite, max_iter positive, "
+                            "tol in (0, 1)")
 
 
 @dataclass
@@ -198,24 +198,6 @@ def entropy(plan: TransportPlan) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0)) - 1.0), 0.0)
     return float(-terms.sum())
-
-
-def kl_divergence(obs: TransportPlan, model: TransportPlan) -> float:
-    """Discrete KL(obs || model) with the 0 log(0/x) = 0 convention."""
-    p = obs.matrix
-    q = model.matrix
-    if p.shape != q.shape:
-        raise DimMismatch(f"shape mismatch {p.shape} vs {q.shape}")
-    bad = (p > 0) & (q == 0)
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmax(bad)), p.shape)
-        raise SupportViolation(
-            f"observed mass at ({i}, {j}) but model is zero there"
-        )
-    mask = p > 0
-    safe_p = np.where(mask, p, 1.0)
-    safe_q = np.where(mask, q, 1.0)
-    return float(np.sum(np.where(mask, p * np.log(safe_p / safe_q), 0.0)))
 
 
 def relative_error(c, c_star) -> float:

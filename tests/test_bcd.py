@@ -26,7 +26,7 @@ from invot import (
     synth_marginals,
     variation_bounds,
 )
-from invot.errors import DimMismatch, ZeroReference
+from invot.errors import BadBounds, DimMismatch, ZeroReference
 from invot.scaling import InverseProblem
 from invot.sinkhorn import _log_plan
 from conftest import make_plan, random_plan
@@ -398,6 +398,16 @@ class TestBcdSolve:
         with pytest.raises(error):
             bcd_solve(problem_from(random_plan(rng, 4, 4), SYM_NONNEG),
                       truth=truth)
+
+    @pytest.mark.parametrize("M_c", [0.0, -1.0, np.nan])
+    def test_bad_box_bound_refused_before_first_iteration(self, rng, monkeypatch,
+                                                          M_c):
+        def tripwire(state, problem):  # a NaN M_c past the check spins in the Armijo loop
+            raise AssertionError("an iteration ran")
+
+        monkeypatch.setattr("invot.bcd.bcd_alpha_update", tripwire)
+        with pytest.raises(BadBounds, match="M_c must be positive"):
+            bcd_solve(problem_from(random_plan(rng, 4, 4), SYM_NONNEG), M_c=M_c)
 
     def test_rate_bound_envelope(self, rng):
         problem = problem_from(random_plan(rng, 5, 5), SYM_NONNEG,

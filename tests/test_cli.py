@@ -239,6 +239,26 @@ class TestInverseCommand:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("sign", ["x", ""])
+    def test_affinity_sign_must_be_plus_or_minus(self, tmp_path, capsys, sign):
+        write_matrix_csv(tmp_path / "plan.csv", np.full((2, 2), 0.25))
+        write_matrix_csv(tmp_path / "G.csv", np.eye(2))
+        g = str(tmp_path / "G.csv")
+        code = main(["inverse", "--plan", str(tmp_path / "plan.csv"),
+                     "--constraint", f"affinity:{g}:{g}:{sign}",
+                     "--out", str(tmp_path / "i")])
+        assert code == 1
+        assert f"affinity sign must be + or -, not {sign!r}" in capsys.readouterr().err
+        assert not (tmp_path / "i" / "cost.csv").exists()
+
+    def test_bcd_nan_box_bound_is_input_error(self, tmp_path, capsys):
+        write_matrix_csv(tmp_path / "plan.csv", np.full((2, 2), 0.25))
+        code = main(["bcd", "--plan", str(tmp_path / "plan.csv"), "--mc", "nan",
+                     "--max-iter", "5", "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert "M_c must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "cost.csv").exists()
+
 
 class TestBudgetRunsOut:
     """inverse and bcd: every artifact, one stderr line, exit 2 (forward:
@@ -367,8 +387,8 @@ class TestTrainContinuousCommand:
         text = (tmp_path / "t" / "report.json").read_text()
         report = strict_json(tmp_path / "t" / "report.json")
         assert text.count('"rng"') == 1 and report["rng"] == "numpy-PCG64"
-        assert text.count('"seed"') == 1 and text.count('"nominal_epsilon"') == 1
-        assert not {"seed", "nominal_epsilon", "rng"} & set(report["extras"])
+        assert text.count('"seed"') == 1 and text.count('"n_collocation"') == 1
+        assert not {"seed", "n_collocation", "rng"} & set(report["extras"])
 
 
 class TestEvalCommand:

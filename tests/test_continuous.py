@@ -7,14 +7,12 @@ from invot import (
     SampleSet,
     TrainConfig,
     eval_cost_on_grid,
-    loss_eval,
-    mc_integral_importance,
     mc_integral_uniform,
     net_forward,
     train,
     xavier_init,
 )
-from invot.errors import BadBounds, Diverged, UnreliableEstimate
+from invot.errors import BadBounds, Diverged
 
 
 class FnNet:
@@ -82,71 +80,6 @@ class TestUniformEstimator:
         for k in range(2):
             ratio = stds[k] / stds[k + 1]
             assert abs(ratio - np.sqrt(10.0)) / np.sqrt(10.0) <= 0.2
-
-
-class TestImportanceEstimator:
-    def test_matched_proposal_zero_variance(self):
-        log_norm = 0.5 * np.log(2 * np.pi)
-        alpha = FnNet(lambda X: -0.5 * X[:, 0] ** 2 - log_norm, 1)
-        beta = FnNet(lambda Y: -0.5 * Y[:, 0] ** 2 - log_norm, 1)
-        got = [mc_integral_importance(alpha, beta, ZERO_COST,
-                                      mean=np.zeros(2), cov=np.eye(2),
-                                      n_s=200, seed=s) for s in range(5)]
-        assert np.allclose(got, 1.0, atol=1e-12)
-
-    def test_flat_integrand_rejected_by_variance_guard(self):
-        with pytest.raises(UnreliableEstimate):
-            mc_integral_importance(ZERO_1D, ZERO_1D, ZERO_COST,
-                                   mean=np.zeros(2), cov=np.eye(2),
-                                   n_s=5000, seed=0)
-
-    def test_matched_gaussian_beats_uniform_budget(self):
-        alpha = FnNet(lambda X: -0.5 * X[:, 0] ** 2, 1)
-        beta = FnNet(lambda Y: -0.5 * Y[:, 0] ** 2, 1)
-        box = ((-5.0, 5.0), (-5.0, 5.0))
-        imp = [mc_integral_importance(alpha, beta, ZERO_COST,
-                                      mean=np.zeros(2), cov=np.eye(2),
-                                      n_s=500, seed=s) for s in range(100)]
-        uni = [mc_integral_uniform(alpha, beta, ZERO_COST, box,
-                                   n_s=500, seed=s) for s in range(100)]
-        assert np.std(imp) < np.std(uni)
-        assert np.mean(imp) == pytest.approx(2 * np.pi, rel=1e-10)
-
-
-class TestLossEval:
-    def test_all_zero_nets_unit_box(self, rng):
-        xb = rng.random((10, 1))
-        yb = rng.random((10, 1))
-        got = loss_eval(ZERO_1D, ZERO_1D, ZERO_COST, xb, yb, xb, yb,
-                        integral_estimate=1.0)
-        assert got == 1.0
-
-    def test_plan_values_invariant_under_joint_scaling(self, rng):
-        a = rng.normal(size=50)
-        b = rng.normal(size=50)
-        c = rng.normal(size=50)
-        for k in (0.5, 2.0, 8.0):  # powers of two keep the scaling exact
-            assert np.array_equal(np.exp((k * a + k * b - k * c) / k),
-                                  np.exp(a + b - c))
-
-    def test_matches_term_by_term_oracle(self, rng):
-        alpha = xavier_init([1, 6, 1], "identity", seed=1)
-        beta = xavier_init([1, 6, 1], "identity", seed=2)
-        cost = CostParameterization(
-            "absdiff", xavier_init([1, 6, 1], "relu", seed=3))
-        xb = rng.random((7, 1))
-        yb = rng.random((9, 1))
-        px = rng.random((5, 1))
-        py = rng.random((5, 1))
-        expect = 0.3  # regularizer value passed straight through
-        expect -= np.mean([net_forward(alpha, x) for x in xb])
-        expect -= np.mean([net_forward(beta, y) for y in yb])
-        expect += np.mean([net_forward(cost.net, abs(x - y))
-                           for x, y in zip(px, py)])
-        expect += 0.8
-        got = loss_eval(alpha, beta, cost, xb, yb, px, py,
-                        integral_estimate=0.8, regularizer_value=0.3)
-        assert got == pytest.approx(expect, abs=1e-12)
 
 
 class TestGridEval:
@@ -361,9 +294,7 @@ def six_pass_train(samples, cost, alpha, beta, config):
                                        cost.net.backward_batch(cc2, -w_col))],
             ]
             for net, g, state in zip(nets, grads, states):
-                new, _ = adam_step(net.parameters(), g, state,
-                                   lr=config.learning_rate,
-                                   betas=config.adam_betas, eps=config.adam_eps)
+                new, _ = adam_step(net.parameters(), g, state, lr=config.learning_rate)
                 net.set_parameters(new)
         epoch_losses.append(np.mean(losses))
     return np.asarray(epoch_losses)
@@ -469,12 +400,8 @@ class TestTrainStep:
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": np.nan}, {"learning_rate": np.inf},
-        {"adam_eps": np.nan}, {"adam_eps": np.inf}, {"nominal_epsilon": np.nan},
         {"domain_box": ((0.0, np.nan), (0.0, 1.0))},
         {"domain_box": ((-np.inf, 0.0),)}, {"domain_box": ((0.0, 1.0), (1.0, 1.0))}])
     def test_non_finite_or_empty_values_rejected(self, kwargs):
         with pytest.raises(BadBounds):
             TrainConfig(**kwargs)
-
-    def test_infinite_nominal_epsilon_allowed(self):
-        assert TrainConfig(nominal_epsilon=np.inf).nominal_epsilon == np.inf

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -171,11 +172,6 @@ GOLDEN_CHECKPOINT = """{
  "scale": 1.0,
  "train_config": {
   "learning_rate": 0.0001,
-  "adam_betas": [
-   0.9,
-   0.999
-  ],
-  "adam_eps": 1e-08,
   "batch_size": 0,
   "n_collocation": 500,
   "epochs": 3,
@@ -189,8 +185,7 @@ GOLDEN_CHECKPOINT = """{
     0.0,
     1.0
    ]
-  ],
-  "nominal_epsilon": 1.0
+  ]
  },
  "alpha": {
   "layer_dims": [
@@ -226,7 +221,8 @@ class TestCheckpointFormat:
         assert config == TrainConfig(epochs=3, seed=7)
         assert alpha.parameters()[1][0] == 0.2 and beta.parameters()[1][0] == 1e-300
 
-    @pytest.mark.parametrize("change", ["missing_seed", "extra_key", "missing_alpha"])
+    @pytest.mark.parametrize("change", ["missing_seed", "extra_key", "missing_alpha",
+                                        "retired_fields"])
     def test_mismatched_keys_rejected(self, tmp_path, change):
         path = tmp_path / "ckpt.json"
         write_tiny_checkpoint(path)
@@ -235,11 +231,22 @@ class TestCheckpointFormat:
             del blob["train_config"]["seed"]
         elif change == "extra_key":
             blob["train_config"]["momentum"] = 0.5
+        elif change == "retired_fields":  # written before these fields were deleted
+            blob["train_config"].update(
+                nominal_epsilon=1.0, adam_betas=[0.9, 0.999], adam_eps=1e-8)
         else:
             del blob["alpha"]
         path.write_text(json.dumps(blob))
         with pytest.raises(ParseError):
             read_checkpoint(path)
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """A config with a non-finite value, written through vars() like TrainConfig."""
+
+    lower: float
+    upper: float
 
 
 class TestReportJson:
@@ -263,7 +270,7 @@ class TestReportJson:
                              converged=False, wall_clock_seconds=0.1,
                              extras={"bound": -np.inf, "trace": [1.0, np.nan]})
         path = tmp_path / "r.json"
-        write_report_json(path, report, TrainConfig(nominal_epsilon=np.inf))
+        write_report_json(path, report, Bounds(lower=0.0, upper=np.inf))
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
@@ -273,4 +280,4 @@ class TestReportJson:
         assert blob["rel_err_trace"] == [None, 0.5]
         assert blob["feasibility_residual"] is None
         assert blob["extras"] == {"bound": None, "trace": [1.0, None]}
-        assert blob["config"]["nominal_epsilon"] is None
+        assert blob["config"] == {"lower": 0.0, "upper": None}
