@@ -400,6 +400,7 @@ class TestTrainStep:
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": np.nan}, {"learning_rate": np.inf},
+        {"learning_rate": -np.inf}, {"domain_box": ()}, {"domain_box": ((0.0, np.inf),)},
         {"domain_box": ((0.0, np.nan), (0.0, 1.0))},
         {"domain_box": ((-np.inf, 0.0),)}, {"domain_box": ((0.0, 1.0), (1.0, 1.0))}])
     def test_non_finite_or_empty_values_rejected(self, kwargs):
