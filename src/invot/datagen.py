@@ -28,7 +28,7 @@ class SyntheticSpec:
             raise BadBounds("n must be at least 2")
         if self.p == 0:
             raise BadBounds("exponent p must be nonzero")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise BadBounds("epsilon must be positive")
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .constraints import Constraint, LinearAffinity
 from .errors import BadBounds, ZeroObservation
-from .sinkhorn import _log_plan, _Sweep
+from .sinkhorn import _dual_value, _log_plan, _Sweep
 from .types import (
     CostMatrix,
     DualPotentials,
@@ -104,13 +104,12 @@ def objective_E(alpha, beta, cost, problem: InverseProblem) -> float:
     beta = np.asarray(beta, dtype=float)
     c = as_matrix(cost)
     eps = problem.config.epsilon
-    pihat = problem.observed.matrix
-    mu = problem.observed.row_marginal.values
-    nu = problem.observed.col_marginal.values
+    observed = problem.observed
     with np.errstate(over="ignore"):
         z = _log_plan(alpha, beta, c, eps)
-        s = eps * float(np.exp(z, out=z).sum())
-    return float(-alpha @ mu - beta @ nu + (c * pihat).sum() + s)
+        mass = float(np.exp(z, out=z).sum())
+    return float((c * observed.matrix).sum()) - _dual_value(
+        alpha, beta, observed.row_marginal, observed.col_marginal, eps, mass)
 
 
 def learn_cost(problem: InverseProblem, c_init=None, truth=None,

@@ -9,8 +9,9 @@ under/overflows; ``"log"`` starts from a row-max-shifted kernel and then
 absorbs like ``"auto"``.
 
 An iteration costs two m-by-n matrix-vector products, and its traces reuse
-them: the plan diag(u) K diag(v) has mass u . (K v). No m-by-n exp runs
-outside `_Sweep._build` except the one that builds the returned plan.
+them: the plan diag(u) K diag(v) has mass u . (K v). Outside `_Sweep._build`
+the only m-by-n exp is `plan_from_duals`: the returned plan, `dual_objective`
+and the BCD feasibility residual.
 """
 
 from __future__ import annotations
@@ -98,15 +99,6 @@ class _Sweep:
         return prod
 
 
-def _plan_residual(alpha, beta, cost, mu, nu, eps) -> float:
-    """Max of the row and column L1 residuals of e^{(alpha + beta - c)/eps}."""
-    z = _log_plan(alpha, beta, cost, eps)
-    with np.errstate(over="ignore"):
-        plan = np.exp(z, out=z)
-    return max(float(np.abs(plan.sum(axis=1) - mu).sum()),
-               float(np.abs(plan.sum(axis=0) - nu).sum()))
-
-
 @dataclass(frozen=True)
 class SinkhornResult:
     duals: DualPotentials
@@ -131,13 +123,12 @@ def plan_from_duals(duals: DualPotentials, cost) -> np.ndarray:
 def dual_objective(duals: DualPotentials, cost, mu: ProbabilityVector,
                    nu: ProbabilityVector) -> float:
     """<alpha, mu> + <beta, nu> - eps * sum e^{(alpha_i + beta_j - c_ij)/eps}."""
-    z = _log_plan(duals.alpha, duals.beta, as_matrix(cost), duals.epsilon)
     with np.errstate(over="raise"):
         try:
-            expsum = float(np.exp(z, out=z).sum())
+            mass = float(plan_from_duals(duals, cost).sum())
         except FloatingPointError:
             raise NumericalOverflow("exponential sum overflows in dual objective")
-    return _dual_value(duals.alpha, duals.beta, mu, nu, duals.epsilon, expsum)
+    return _dual_value(duals.alpha, duals.beta, mu, nu, duals.epsilon, mass)
 
 
 def _dual_value(alpha, beta, mu, nu, eps, mass) -> float:

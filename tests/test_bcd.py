@@ -453,6 +453,10 @@ class TestLipschitzProbe:
         assert ratio < 1.0
         assert lipschitz_probe(np.zeros(2), b, samples=2000) <= 1.0 + 1e-6
 
+    def test_nan_weight_refused(self):
+        with pytest.raises(BadBounds):
+            lipschitz_probe(np.zeros(2), np.array([np.nan, 1.0]), samples=100)
+
     def test_sampled_ratio_bounded(self, rng):
         b = rng.uniform(0.5, 2.0, size=8)
         a = rng.normal(size=8)

@@ -15,6 +15,7 @@ from invot import (
 )
 from invot.cli import main
 from invot.fileio import (
+    read_checkpoint,
     read_matrix_csv,
     write_matrix_csv,
     write_pairs_csv,
@@ -114,6 +115,13 @@ class TestSynthCommand:
         assert main(["synth", "--n", "6", "--epsilon", "inf",
                      "--out", str(tmp_path / "s")]) == 0
         assert strict_json(tmp_path / "s" / "config.json")["epsilon"] is None
+
+    def test_nan_epsilon_is_input_error(self, tmp_path, capsys):
+        code = main(["synth", "--n", "4", "--epsilon", "nan",
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "epsilon must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "config.json").exists()
 
     @pytest.mark.parametrize("n,with_out", [("1", True), ("6", False)])
     def test_bad_arguments_are_input_errors(self, tmp_path, capsys, n, with_out):
@@ -359,6 +367,19 @@ class TestTrainContinuousCommand:
         write_pairs_csv(tmp_path / "pairs.csv",
                         SampleSet(xs=rng.uniform(size=(20, 1)),
                                   ys=rng.uniform(size=(20, 1))))
+
+    def test_scaleddiff_scale_reaches_checkpoint_and_grid(self, tmp_path):
+        self.write_random_pairs(tmp_path)
+        assert main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
+                     "--input-mode", "scaleddiff:2", "--epochs", "1",
+                     "--out", str(tmp_path / "t")]) == 0
+        assert strict_json(tmp_path / "t" / "checkpoint.json")["scale"] == 2.0
+        cost = read_checkpoint(tmp_path / "t" / "checkpoint.json")[0]
+        assert (cost.input_mode, cost.scale) == ("scaleddiff", 2.0)
+        grid = read_matrix_csv(tmp_path / "t" / "grid-eval.csv")
+        assert grid.shape == (100, 2)
+        # xi = |x - 2y| over the unit box's corners runs from 0 to 2
+        assert (grid[0, 0], grid[-1, 0]) == (0.0, 2.0)
 
     def test_unknown_input_mode_is_input_error(self, tmp_path, capsys):
         self.write_random_pairs(tmp_path)

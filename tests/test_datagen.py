@@ -41,6 +41,8 @@ class TestSynthCost:
             SyntheticSpec(n=1, p=2.0, epsilon=1.0)
         with pytest.raises(BadBounds):
             SyntheticSpec(n=4, p=2.0, epsilon=0.0)
+        with pytest.raises(BadBounds):
+            SyntheticSpec(n=4, p=2, epsilon=float("nan"))
 
 
 class TestSynthMarginals:

@@ -25,7 +25,7 @@ from invot import (
     synth_marginals,
 )
 from invot.errors import DimMismatch, ZeroObservation, ZeroReference
-from invot.sinkhorn import _plan_residual, _Sweep
+from invot.sinkhorn import _log_plan, _Sweep
 from invot.types import _error_to
 from conftest import make_plan, random_plan
 
@@ -40,6 +40,15 @@ def forward_plan(cost, mu, nu, eps, tol=1e-12):
     result = sinkhorn_solve(cost, mu, nu, cfg)
     assert result.report.converged
     return result.plan
+
+
+def _plan_residual(alpha, beta, cost, mu, nu, eps):
+    """Max of the row and column L1 residuals of e^{(alpha + beta - c)/eps}."""
+    z = _log_plan(alpha, beta, cost, eps)
+    with np.errstate(over="ignore"):
+        plan = np.exp(z, out=z)
+    return max(float(np.abs(plan.sum(axis=1) - mu).sum()),
+               float(np.abs(plan.sum(axis=0) - nu).sum()))
 
 
 def problem_from(plan, constraint=SYM_NONNEG, eps=1.0, max_iter=2000,

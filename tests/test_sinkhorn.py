@@ -234,6 +234,16 @@ class TestDualObjective:
         primal = float((c * result.plan.matrix).sum()) - eps * entropy(result.plan)
         assert result.dual_objective == pytest.approx(primal, abs=1e-6)
 
+    # an exponent of 800; and exponents of 700, which plan_from_duals passes,
+    # whose sum 150^2 e^700 exceeds the largest double
+    @pytest.mark.parametrize("n,exponent,message", [(2, 800.0, "exceeds 700"),
+                                                    (150, 700.0, "sum overflows")])
+    def test_overflow_refused(self, n, exponent, message):
+        uniform = ProbabilityVector(np.full(n, 1.0 / n))
+        duals = DualPotentials(np.full(n, exponent), np.zeros(n), epsilon=1.0)
+        with pytest.raises(NumericalOverflow, match=message):
+            dual_objective(duals, np.zeros((n, n)), uniform, uniform)
+
 
 class TestTraces:
     @pytest.mark.parametrize("mode,offset", [("direct", 0.0), ("log", 0.0),
