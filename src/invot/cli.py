@@ -134,24 +134,25 @@ def cmd_forward(args) -> int:
 
 
 def _load_inverse_problem(args):
-    """The plan file as an InverseProblem, which refuses zero entries unless smoothed."""
+    """The plan file as an InverseProblem, and whether --smooth-zeros replaced a zero."""
     plan_matrix = read_matrix_csv(args.plan)
     smoothed = args.smooth_zeros and bool(np.any(plan_matrix == 0))
     plan = (smooth_observed_zeros if smoothed else _normalized_plan)(plan_matrix)
     config = SolverConfig(epsilon=args.epsilon, max_iter=args.max_iter,
                           tol=args.tol)
     return InverseProblem(observed=plan, constraint=_parse_constraints(args.constraint),
-                          config=config, smoothed=smoothed)
+                          config=config), smoothed
 
 
 def cmd_inverse(args) -> int:
     out = _outdir(args.out)
-    problem = _load_inverse_problem(args)
+    problem, smoothed = _load_inverse_problem(args)
     truth = read_matrix_csv(args.truth) if args.truth else None
     if args.command == "bcd":
         solution = bcd_solve(problem, M_c=args.mc, truth=truth)
     else:
         solution = learn_cost(problem, truth=truth)
+    solution.report.extras["smoothed_zeros"] = smoothed
     write_matrix_csv(out / "cost.csv", solution.cost)
     if solution.affinity is not None:
         write_matrix_csv(out / "affinity.csv", solution.affinity)

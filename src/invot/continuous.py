@@ -40,6 +40,10 @@ class CostParameterization:
     def __post_init__(self):
         if self.input_mode not in ("raw", "absdiff", "scaleddiff"):
             raise DimMismatch(f"unknown input mode {self.input_mode!r}")
+        if not np.isfinite(self.scale):
+            raise BadBounds(f"scale must be finite, not {self.scale!r}")
+        if self.scale != 1.0 and self.input_mode != "scaleddiff":
+            raise BadBounds(f"scale {self.scale!r} needs input mode 'scaleddiff'")
 
     def features(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -149,6 +153,8 @@ def train(samples: SampleSet, cost: CostParameterization,
               FeedForwardNet, FeedForwardNet, CostParameterization, SolveReport]:
     """Minimize the sampled loss with Adam; deterministic per seed.
 
+    One Adam state steps the given nets' own parameter arrays in place.
+
     ``regularizer``, when given, is R(c): it is called with the cost net and
     must return (value, grads aligned with cost.net.parameters()). Training
     has no stopping rule, so the report always says converged. Its
@@ -164,8 +170,8 @@ def train(samples: SampleSet, cost: CostParameterization,
     batch = config.batch_size if config.batch_size > 0 else n
     steps_per_epoch = max(1, int(np.ceil(n / batch)))
 
-    nets = (alpha_net, beta_net, cost.net)
-    states = [AdamState.zeros_like(net.parameters()) for net in nets]
+    params = alpha_net.parameters() + beta_net.parameters() + cost.net.parameters()
+    state = AdamState.zeros_like(params)
     epoch_losses = []
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
@@ -197,14 +203,13 @@ def train(samples: SampleSet, cost: CostParameterization,
             # for alpha and beta, the negation of both for the cost
             w = np.concatenate([np.full(k, -1.0 / k),
                                 (vol / config.n_collocation) * g_vals])
-            grads = [alpha_net.backward_batch(cache_a, w),
-                     beta_net.backward_batch(cache_b, w),
-                     cost.net.backward_batch(cache_c, -w)]
+            cost_grads = cost.net.backward_batch(cache_c, -w)
             if reg_grads is not None:
-                grads[2] = [g + r for g, r in zip(grads[2], reg_grads)]
-            for net, g, state in zip(nets, grads, states):
-                new, _ = adam_step(net.parameters(), g, state, lr=config.learning_rate)
-                net.set_parameters(new)
+                for g, r in zip(cost_grads, reg_grads):
+                    g += r
+            adam_step(params, alpha_net.backward_batch(cache_a, w)
+                      + beta_net.backward_batch(cache_b, w) + cost_grads,
+                      state, lr=config.learning_rate)
         epoch_losses.append(float(np.mean(losses)))
 
     report = SolveReport(

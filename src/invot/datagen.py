@@ -38,7 +38,7 @@ def synth_cost(spec: SyntheticSpec) -> CostMatrix:
     diff = np.abs(idx[:, None] - idx[None, :]) / spec.n
     with np.errstate(divide="ignore"):
         mat = np.where(diff > 0, diff ** spec.p, 0.0)
-    return CostMatrix(mat, symmetric_zero_diagonal=True)
+    return CostMatrix(mat)
 
 
 def synth_marginals(m: int, n: int, seed: int = 0):

@@ -64,9 +64,6 @@ class FeedForwardNet:
         """[w_0, b_0, w_1, b_1, ...], the order of every gradient list."""
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
-    def set_parameters(self, params: Sequence[np.ndarray]) -> None:
-        self.weights[:], self.biases[:] = params[0::2], params[1::2]
-
     def forward_batch(self, X: np.ndarray):
         """Outputs and caches for a batch; X has shape (N, d_in)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -140,16 +137,14 @@ class AdamState:
 def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
               state: AdamState, lr: float = 1e-4,
               betas: Tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8) -> Tuple[List[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns fresh parameter arrays."""
+              eps: float = 1e-8) -> None:
+    """One bias-corrected Adam update of params, state.m and state.v in place."""
     b1, b2 = betas
-    t = state.step + 1
-    new_params = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / (1.0 - b1 ** t)
-        v_hat = state.v[i] / (1.0 - b2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-    state.step = t
-    return new_params, state
+    state.step += 1
+    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)

@@ -59,7 +59,6 @@ class InverseProblem:
     observed: TransportPlan
     constraint: Constraint
     config: SolverConfig
-    smoothed: bool = False
 
     def __post_init__(self):
         if not self.observed.strictly_positive():
@@ -79,8 +78,8 @@ def _normalized_plan(matrix) -> TransportPlan:
 def smooth_observed_zeros(matrix) -> TransportPlan:
     """Replace zero plan entries with 1e-12 and renormalize.
 
-    Opt-in repair for plans with empty cells; the result is flagged by the
-    solver report. Marginals are recomputed from the smoothed matrix.
+    Opt-in repair for plans with empty cells; the CLI flags its use in
+    report.json. Marginals are recomputed from the smoothed matrix.
     """
     mat = np.array(as_matrix(matrix), dtype=float)
     mat[mat == 0] = _ZERO_SMOOTH_DELTA
@@ -211,8 +210,7 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
                                  float(np.abs(sweep.K.sum(axis=0) - nu).sum())),
         converged=converged,
         wall_clock_seconds=time.perf_counter() - t0,
-        extras={"smoothed_zeros": problem.smoothed, "absorptions": sweep.absorptions,
-                "anderson_restarts": restarts},
+        extras={"absorptions": sweep.absorptions, "anderson_restarts": restarts},
     )
     return InverseSolution(cost=CostMatrix(c), duals=duals, affinity=affinity,
                            report=report)

@@ -133,17 +133,9 @@ class CostMatrix:
     """An m-by-n cost matrix; only cost/epsilon is identifiable from a plan."""
 
     matrix: np.ndarray
-    symmetric_zero_diagonal: bool = False
 
     def __post_init__(self):
-        mat = _frozen_array(self.matrix, 2)
-        object.__setattr__(self, "matrix", mat)
-        if self.symmetric_zero_diagonal:
-            m, n = mat.shape
-            if m != n:
-                raise DimMismatch("symmetric-zero-diagonal cost must be square")
-            if not np.array_equal(mat, mat.T) or np.any(np.diag(mat) != 0):
-                raise DimMismatch("matrix is not symmetric with zero diagonal")
+        object.__setattr__(self, "matrix", _frozen_array(self.matrix, 2))
 
     @property
     def shape(self):

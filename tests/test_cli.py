@@ -229,15 +229,19 @@ class TestInverseCommand:
         assert code == 3
         assert "smooth_observed_zeros()" in err and "--smooth-zeros" in err
 
-    def test_zero_observation_smoothing_opt_in(self, tmp_path):
-        write_matrix_csv(tmp_path / "plan.csv",
-                         np.array([[0.5, 0.0], [0.0, 0.5]]))
-        code = main(["inverse", "--plan", str(tmp_path / "plan.csv"),
+    @pytest.mark.parametrize("command,plan,smoothed", [
+        pytest.param("inverse", [[0.5, 0.0], [0.0, 0.5]], True, id="inverse"),
+        pytest.param("bcd", [[0.5, 0.0], [0.0, 0.5]], True, id="bcd"),
+        pytest.param("inverse", [[0.3, 0.2], [0.2, 0.3]], False, id="inverse-no-zero"),
+        pytest.param("bcd", [[0.3, 0.2], [0.2, 0.3]], False, id="bcd-no-zero")])
+    def test_zero_observation_smoothing_opt_in(self, tmp_path, command, plan, smoothed):
+        write_matrix_csv(tmp_path / "plan.csv", np.array(plan))
+        code = main([command, "--plan", str(tmp_path / "plan.csv"),
                      "--smooth-zeros", "--max-iter", "50",
                      "--out", str(tmp_path / "i")])
         assert code == 0
         report = json.loads((tmp_path / "i" / "report.json").read_text())
-        assert report["extras"]["smoothed_zeros"] is True
+        assert report["extras"]["smoothed_zeros"] is smoothed
 
     def test_malformed_constraint_is_input_error(self, tmp_path, capsys):
         write_matrix_csv(tmp_path / "plan.csv", np.full((2, 2), 0.25))
@@ -391,7 +395,9 @@ class TestTrainContinuousCommand:
 
     @pytest.mark.parametrize("args", [["--lr", "nan", "--epochs", "2"],
                                       ["--lr", "inf", "--epochs", "1"],
-                                      ["--box", "0:nan,0:1", "--epochs", "1"]])
+                                      ["--box", "0:nan,0:1", "--epochs", "1"],
+                                      ["--input-mode", "scaleddiff:nan", "--epochs", "1"],
+                                      ["--input-mode", "scaleddiff:inf", "--epochs", "1"]])
     def test_non_finite_train_config_is_input_error(self, tmp_path, capsys, args):
         self.write_random_pairs(tmp_path)
         code = main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),

@@ -42,7 +42,8 @@ UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
 
 def zero_net(dims, activation="identity"):
     net = xavier_init(dims, activation, seed=0)
-    net.set_parameters([np.zeros_like(p) for p in net.parameters()])
+    for p in net.parameters():
+        p[...] = 0.0
     return net
 
 
@@ -294,8 +295,7 @@ def six_pass_train(samples, cost, alpha, beta, config):
                                        cost.net.backward_batch(cc2, -w_col))],
             ]
             for net, g, state in zip(nets, grads, states):
-                new, _ = adam_step(net.parameters(), g, state, lr=config.learning_rate)
-                net.set_parameters(new)
+                adam_step(net.parameters(), g, state, lr=config.learning_rate)
         epoch_losses.append(np.mean(losses))
     return np.asarray(epoch_losses)
 
@@ -319,6 +319,17 @@ class TestTrainStep:
                                    rtol=1e-12, atol=0)
         for p, q in zip(parameters(got_nets), parameters(ref_nets)):
             np.testing.assert_allclose(p, q, rtol=1e-12, atol=0)
+
+    def test_steps_the_nets_own_arrays(self):
+        samples = quadratic_task(n_pairs=200)
+        nets = small_nets(seed=0)  # at seed 3 the cost net's relu output starts dead
+        before = parameters(nets)
+        values = [p.copy() for p in before]
+        train(samples, *nets, self.config)
+        after = parameters(nets)
+        assert len(after) == len(before)
+        assert all(p is q for p, q in zip(after, before))
+        assert not any(np.array_equal(p, v) for p, v in zip(after, values))
 
     def test_one_forward_and_backward_pass_per_net_per_step(self, monkeypatch):
         calls = {"forward": 0, "backward": 0}
@@ -406,3 +417,18 @@ class TestTrainConfig:
     def test_non_finite_or_empty_values_rejected(self, kwargs):
         with pytest.raises(BadBounds):
             TrainConfig(**kwargs)
+
+
+class TestCostParameterization:
+    @pytest.mark.parametrize("mode,scale", [("scaleddiff", np.nan), ("scaleddiff", np.inf),
+                                            ("scaleddiff", -np.inf), ("absdiff", 2.0),
+                                            ("raw", 0.0)])
+    def test_non_finite_or_unused_scale_rejected(self, mode, scale):
+        net = xavier_init([2 if mode == "raw" else 1, 1])
+        with pytest.raises(BadBounds):
+            CostParameterization(mode, net, scale=scale)
+
+    @pytest.mark.parametrize("scale,feature", [(0.0, 0.5), (-1.0, 0.75)])
+    def test_zero_and_negative_scaleddiff_scale_accepted(self, scale, feature):
+        cost = CostParameterization("scaleddiff", xavier_init([1, 1]), scale=scale)
+        assert cost.features(np.array([[0.5]]), np.array([[0.25]])) == feature

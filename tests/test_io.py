@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from invot import CostParameterization, FeedForwardNet, SampleSet, TrainConfig, xavier_init
-from invot.errors import ParseError, ShapeHeaderMismatch
+from invot.errors import BadBounds, ParseError, ShapeHeaderMismatch
 from invot.fileio import (
     read_checkpoint,
     read_matrix_csv,
@@ -238,6 +238,16 @@ class TestCheckpointFormat:
             del blob["alpha"]
         path.write_text(json.dumps(blob))
         with pytest.raises(ParseError):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("scale", [2.0, float("nan")])
+    def test_bad_scale_rejected(self, tmp_path, scale):
+        path = tmp_path / "ckpt.json"
+        write_tiny_checkpoint(path)  # input mode "absdiff"
+        blob = json.loads(path.read_text())
+        blob["scale"] = scale
+        path.write_text(json.dumps(blob))
+        with pytest.raises(BadBounds):
             read_checkpoint(path)
 
 

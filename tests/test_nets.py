@@ -21,7 +21,8 @@ def linear_net(w, b, activation="identity"):
 class TestForward:
     def test_zero_relu_net_is_zero(self, rng):
         net = xavier_init([3, 4, 1], "relu", seed=0)
-        net.set_parameters([np.zeros_like(p) for p in net.parameters()])
+        for p in net.parameters():
+            p[...] = 0.0
         for _ in range(5):
             assert net_forward(net, rng.normal(size=3)) == 0.0
 
@@ -127,9 +128,9 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = [np.array([1.0, -2.0]), np.array([[0.5]])]
         state = AdamState.zeros_like(params)
-        new, state = adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
-        assert np.array_equal(new[0], params[0])
-        assert np.array_equal(new[1], params[1])
+        assert adam_step(params, [np.zeros(2), np.zeros((1, 1))], state) is None
+        assert np.array_equal(params[0], [1.0, -2.0])
+        assert np.array_equal(params[1], [[0.5]])
         assert state.step == 1
 
     def test_first_step_oracle(self):
@@ -140,9 +141,9 @@ class TestAdam:
         eps = 1e-8
         params = [np.array([2.0])]
         state = AdamState.zeros_like(params)
-        new, _ = adam_step(params, [np.array([g])], state, lr=lr, eps=eps)
+        adam_step(params, [np.array([g])], state, lr=lr, eps=eps)
         expect = 2.0 - lr * g / (abs(g) + eps)
-        assert new[0][0] == pytest.approx(expect, abs=1e-16)
+        assert params[0][0] == pytest.approx(expect, abs=1e-16)
 
     def test_constant_gradient_limit(self):
         params = [np.array([0.0])]
@@ -150,9 +151,28 @@ class TestAdam:
         lr = 1e-3
         prev = 0.0
         for _ in range(500):
-            params, state = adam_step(params, [np.array([2.5])], state, lr=lr)
+            adam_step(params, [np.array([2.5])], state, lr=lr)
         step = prev - params[0][0]
         moved = params[0][0]
         assert moved < 0  # descending against a positive gradient
         assert abs(moved + 500 * lr) / (500 * lr) <= 0.05
         assert step >= 0
+
+    def test_one_state_over_concatenated_nets_matches_per_net_states(self, rng):
+        # Adam is elementwise and the nets share one step count, so one state
+        # over the concatenated parameter lists gives the same bits
+        joint = [xavier_init([2, 5, 1], seed=1), xavier_init([3, 4, 1], seed=2)]
+        apart = [xavier_init([2, 5, 1], seed=1), xavier_init([3, 4, 1], seed=2)]
+        joint_params = joint[0].parameters() + joint[1].parameters()
+        joint_state = AdamState.zeros_like(joint_params)
+        apart_states = [AdamState.zeros_like(net.parameters()) for net in apart]
+        k = len(apart[0].parameters())
+        for _ in range(3):
+            grads = [rng.normal(size=p.shape) for p in joint_params]
+            adam_step(joint_params, grads, joint_state, lr=1e-2)
+            for net, g, state in zip(apart, (grads[:k], grads[k:]), apart_states):
+                adam_step(net.parameters(), g, state, lr=1e-2)
+        for a, b in zip(joint, apart):
+            for p, q in zip(a.parameters(), b.parameters()):
+                assert np.array_equal(p, q)
+        assert not np.array_equal(joint_params[0], xavier_init([2, 5, 1], seed=1).weights[0])
