@@ -12,12 +12,11 @@ kernel is rebuilt in place as the plan of the new (alpha, beta, c); its K 1
 serves the next row half-step, the objective_E trace and the residual.
 
 So the loop is a fixed-point map G of x = (alpha, beta) alone, which
-`learn_cost` accelerates by type-II Anderson mixing with memory 5 (Walker &
-Ni, SIAM J. Numer. Anal. 49, 2011) in the gauge mean(alpha) = mean(beta):
-x <- g - dG gamma, g = G(x), gamma from the ridged k-by-k normal equations
-of the last differences dF of f = G(x) - x. The box clamp makes G nonsmooth,
-so a guard (Zhang, O'Donoghue & Boyd, arXiv:1808.03971) refuses a candidate
-that raises objective_E, clears the memory and takes the plain step x = g.
+`learn_cost` accelerates in the gauge mean(alpha) = mean(beta) by the type-II
+Anderson mixer that the forward solve also uses (`sinkhorn._Anderson`). Unlike
+the forward solve, each candidate x costs a full sweep reset to (c(x), x).
+The box clamp makes G nonsmooth, so a guard refuses a candidate that raises
+objective_E, clears the memory and takes the plain step x = g.
 
 Only c/eps is identifiable, so solving at eps = 1 recovers c/eps_true.
 """
@@ -32,7 +31,7 @@ import numpy as np
 
 from .constraints import Constraint, LinearAffinity
 from .errors import BadBounds, ZeroObservation
-from .sinkhorn import _dual_value, _log_plan, _Sweep
+from .sinkhorn import _Anderson, _dual_value, _log_plan, _Sweep
 from .types import (
     CostMatrix,
     DualPotentials,
@@ -46,7 +45,6 @@ from .types import (
 )
 
 _ZERO_SMOOTH_DELTA = 1e-12
-_MEMORY = 5  # Anderson memory of learn_cost
 _ZERO_REFUSAL = ("observed plan contains zero entries, which destroy "
                  "identifiability; opt in to delta-smoothing with "
                  "smooth_observed_zeros() (CLI: --smooth-zeros)")
@@ -151,14 +149,13 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
             return Kv, float(-alpha @ mu - beta @ nu + np.vdot(out, pihat)
                              + eps * Kv.sum())
 
-    # ring of the last differences of g = G(x) and f = g - x, x = (alpha, beta)
-    dG, dF = np.empty((_MEMORY, m + n)), np.empty((_MEMORY, m + n))
+    mixer = _Anderson(m + n)  # of x = (alpha, beta)
     # g + (weight @ g) * shift has mean(alpha) = mean(beta) and the same alpha + beta
     shift = np.concatenate((np.ones(m), -np.ones(n)))
     weight = np.concatenate((np.full(m, -0.5 / m), np.full(n, 0.5 / n)))
-    x = g_prev = f_prev = None
+    x = None
     obj_trace, err_trace, converged = [], [], False
-    it = pushes = restarts = 0
+    it = restarts = 0
     t0 = time.perf_counter()
     sweep = _Sweep(c, mu, nu, eps, np.zeros(m), np.zeros(n))
     Kv = None  # K 1 of the current sweep (v = 1), reused by its row half-step
@@ -168,22 +165,12 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
         sweep.scale(0)
         g = np.concatenate(sweep.duals())
         g += (weight @ g) * shift
-        f = None if x is None else g - x
-        if f_prev is not None:
-            np.subtract(g, g_prev, out=dG[pushes % _MEMORY])
-            np.subtract(f, f_prev, out=dF[pushes % _MEMORY])
-            pushes += 1
-        g_prev, f_prev = g, f
-        x = g
-        if pushes:  # gamma = argmin ||f - dF^T gamma||; tiny keeps A regular at dF = 0
-            k = min(pushes, _MEMORY)
-            A = dF[:k] @ dF[:k].T
-            A.flat[::k + 1] += 1e-12 * A.trace() + 1e-300
-            x = g - np.linalg.solve(A, dF[:k] @ f) @ dG[:k]
+        x = mixer.mix(x, g)
         Kv, E = settle(x, c_next)
         # the guard: an extrapolated x that raises objective_E is refused
-        if pushes and not E <= obj_trace[-1] + 1e-13 * abs(obj_trace[-1]):
-            restarts, pushes, x = restarts + 1, 0, g
+        if mixer.pushes and not E <= obj_trace[-1] + 1e-13 * abs(obj_trace[-1]):
+            restarts, x = restarts + 1, g
+            mixer.restart()
             Kv, E = settle(x, c_next)
         obj_trace.append(E)
         # ||c - c_next||_F, bitwise np.linalg.norm, with c - c_next written into c

@@ -8,16 +8,22 @@ raises NumericalOverflow; ``"auto"`` once a scaling leaves [e^-100, e^100] or
 under/overflows; ``"log"`` starts from a row-max-shifted kernel and then
 absorbs like ``"auto"``.
 
-An iteration costs two m-by-n matrix-vector products, and its traces reuse
-them: the plan diag(u) K diag(v) has mass u . (K v). Outside `_Sweep._build`
-the only m-by-n exp is `plan_from_duals`: the returned plan, `dual_objective`
-and the BCD feasibility residual.
+This solve's sweep is a fixed-point map of y = eps log v (the row half-step
+overwrites u), and both it and ``learn_cost`` accelerate their maps by one
+`_Anderson` mixer. A candidate y is tried as v = e^{y/eps} against the
+current kernel, with no rebuild of K: an iteration costs two m-by-n
+matrix-vector products, and a third, K e^{y/eps}, when it tries a candidate.
+Its traces reuse them: the plan diag(u) K diag(v) has mass u . (K v). The
+returned plan is that product, built in K's buffer. Outside `_Sweep._build`
+the only m-by-n exp is `plan_from_duals`: `dual_objective` (which
+`SinkhornResult` calls on demand) and the BCD feasibility residual.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +37,8 @@ from .types import (
     _outer_sum,
     as_matrix,
 )
+
+_MEMORY = 5  # Anderson memory of every scaling loop
 
 
 def _log_plan(alpha, beta, cost, eps, out=None) -> np.ndarray:
@@ -99,12 +107,56 @@ class _Sweep:
         return prod
 
 
+class _Anderson:
+    """Type-II Anderson mixing with memory 5 (Walker & Ni, SIAM J. Numer. Anal.
+    49, 2011) of a fixed-point map G.
+
+    ``mix(x, g)`` records g = G(x) and returns x' = g - dG gamma, gamma from the
+    ridged k-by-k normal equations of the last differences dF of f = g - x; it
+    returns g itself while there are no differences. A guard that refuses x'
+    (Zhang, O'Donoghue & Boyd, arXiv:1808.03971) calls ``restart``, which
+    clears the differences but keeps the last (g, f), and takes the plain step.
+    """
+
+    def __init__(self, size):
+        self.dG, self.dF = np.empty((_MEMORY, size)), np.empty((_MEMORY, size))
+        self.g = self.f = None
+        self.pushes = 0
+
+    def mix(self, x, g):
+        f = None if x is None else g - x
+        if self.f is not None:
+            np.subtract(g, self.g, out=self.dG[self.pushes % _MEMORY])
+            np.subtract(f, self.f, out=self.dF[self.pushes % _MEMORY])
+            self.pushes += 1
+        self.g, self.f = g, f
+        if not self.pushes:
+            return g
+        # gamma = argmin ||f - dF^T gamma||; tiny keeps A regular at dF = 0
+        k = min(self.pushes, _MEMORY)
+        A = self.dF[:k] @ self.dF[:k].T
+        A.flat[::k + 1] += 1e-12 * A.trace() + 1e-300
+        return g - np.linalg.solve(A, self.dF[:k] @ f) @ self.dG[:k]
+
+    def restart(self):
+        self.pushes = 0
+
+
 @dataclass(frozen=True)
 class SinkhornResult:
+    """Duals, plan and report of a solve. ``dual_objective`` is
+    `dual_objective` at the duals and the solve's cost, computed on first read,
+    as it needs the m-by-n exp that the solve itself avoids."""
+
     duals: DualPotentials
     plan: TransportPlan
-    dual_objective: float
     report: SolveReport
+    cost: np.ndarray = field(repr=False)
+
+    @cached_property
+    def dual_objective(self) -> float:
+        return dual_objective(self.duals, self.cost, self.plan.row_marginal,
+                              self.plan.col_marginal)
 
 
 def plan_from_duals(duals: DualPotentials, cost) -> np.ndarray:
@@ -143,9 +195,20 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
     Convergence is declared when both L1 marginal residuals of the current
     plan fall below config.tol. When the iteration budget runs out first, the
     last iterate is returned with ``report.converged`` False, as
-    ``learn_cost`` and ``bcd_solve`` do; its plan is checked against twice
-    the final residual. ``extras["absorptions"]`` counts absorptions;
-    ``extras["log_domain"]`` says whether it is nonzero.
+    ``learn_cost`` and ``bcd_solve`` do. The returned plan is the product the
+    last residual was measured on; it is checked against that residual (twice
+    it when not converged) plus summation rounding, and its own measured
+    residual is ``report.feasibility_residual``.
+
+    The sweep is Anderson-accelerated (`_Anderson`) on y = eps log v. A
+    candidate is refused for the plain step, which clears the memory, when its
+    scaling would leave [e^-100, e^100] (so it never absorbs or overflows, in
+    any mode) or when it lowers the semi-dual max_alpha D(alpha, beta) below
+    the plain step's: every plain sweep raises that concave function, so each
+    guarded iteration ascends at least as far as a plain sweep from its start.
+    ``extras["anderson_restarts"]`` counts the refusals,
+    ``extras["absorptions"]`` the absorptions; ``extras["log_domain"]`` says
+    whether the latter is nonzero.
     """
     if mode not in ("auto", "direct", "log"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -160,13 +223,24 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
 
     sweep = _Sweep(c, mu.values, nu.values, eps, np.zeros(mu.dim), np.zeros(nu.dim),
                    axis=1 if mode == "log" else None)
+    mixer = _Anderson(nu.dim)
+    x = np.zeros(nu.dim)  # eps log v that the iteration starts from, against K
+
+    def semidual(y, Ky):
+        """The semi-dual at v = e^{y/eps}, Ky = K v, less terms that K fixes;
+        and the size of its terms, which bounds its rounding."""
+        with np.errstate(divide="ignore"):  # K v = 0 gives +inf, refused
+            a, b = float(nu.values @ y), eps * float(mu.values @ np.log(Ky))
+        return a - b, abs(a) + abs(b)
+
     obj_trace = []
     res_trace = []
     converged = False
-    it = 0
+    it = restarts = 0
     Kv = None  # K v of the last plan, reused by the next row half-step
     while it < config.max_iter:
         it += 1
+        absorptions = sweep.absorptions
         sweep.scale(1, Kv)
         Ktu = sweep.scale(0)
         if mode == "direct" and sweep.absorptions:
@@ -179,25 +253,50 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
         if residual <= config.tol:
             converged = True
             break
-        # the band e^{+-100} is well inside the float range (e^709); the last
-        # iteration does not absorb, as only a next row half-step ends its shift
-        if it < config.max_iter and mode != "direct" and max(
+        # the last iterate is returned as measured: it neither absorbs nor mixes
+        if it == config.max_iter:
+            break
+        # the band e^{+-100} is well inside the float range (e^709)
+        if mode != "direct" and max(
                 np.abs(np.log(s)).max() for s in (sweep.u, sweep.v)) > 100:
             sweep.absorb(axis=1)
             Kv = None
+        if sweep.absorptions != absorptions:  # the memory is against an older K
+            mixer, x = _Anderson(nu.dim), None
+        g = eps * np.log(sweep.v)
+        x = mixer.mix(x, g)
+        if mixer.pushes:
+            # the candidate's scaling must stay in the band, and it must not
+            # lower the semi-dual below the plain step's by more than rounding
+            accept = np.abs(x).max() <= 100 * eps
+            if accept:
+                vx = np.exp(x / eps)
+                Kx = sweep.K @ vx
+                phi, size = semidual(g, Kv)
+                accept = phi - 1e-13 * size <= semidual(x, Kx)[0] < np.inf
+            if accept:
+                sweep.v, Kv = vx, Kx
+            else:
+                restarts, x = restarts + 1, g
+                mixer.restart()
 
     duals = DualPotentials(*sweep.duals(), epsilon=eps)
+    pi = sweep.K  # diag(u) K diag(v), whose residual was measured, in K's buffer
+    pi *= sweep.u[:, None]
+    pi *= sweep.v
+    # a row or column sum of pi rounds apart from the loop's u * (K v) and
+    # v * (K^T u) by at most about m + n units in the last place of the mass 1
+    feas_tol = (max(residual * (1.01 if converged else 2.0), config.tol)
+                + (mu.dim + nu.dim) * np.finfo(float).eps)
+    plan = TransportPlan(pi, mu, nu, feas_tol=feas_tol)
     report = SolveReport(
         iterations=it,
         objective_trace=np.asarray(obj_trace),
         rel_err_trace=None,
-        feasibility_residual=residual,
+        feasibility_residual=max(plan.row_residual, plan.col_residual),
         converged=converged,
         wall_clock_seconds=time.perf_counter() - t0,
         extras={"log_domain": sweep.absorptions > 0, "absorptions": sweep.absorptions,
-                "residual_trace": np.asarray(res_trace)},
+                "anderson_restarts": restarts, "residual_trace": np.asarray(res_trace)},
     )
-    feas_tol = max(residual * (1.01 if converged else 2.0), config.tol)
-    plan = TransportPlan(plan_from_duals(duals, c), mu, nu, feas_tol=feas_tol)
-    value = _dual_value(duals.alpha, duals.beta, mu, nu, eps, float(plan.matrix.sum()))
-    return SinkhornResult(duals=duals, plan=plan, dual_objective=value, report=report)
+    return SinkhornResult(duals=duals, plan=plan, report=report, cost=c)

@@ -100,6 +100,24 @@ class TestForwardCommand:
         assert extras["log_domain"] is True
         assert extras["absorptions"] == 1
 
+    def test_report_counts_refused_extrapolations(self, tmp_path):
+        # at eps = 0.003 the accelerated solve refuses candidates
+        rng = np.random.default_rng(3)
+        cost = rng.uniform(0, 1, size=(8, 8))
+        mu, nu = rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8))
+        write_problem(tmp_path, cost, mu, nu)
+        assert main(["forward", "--cost", str(tmp_path / "cost.csv"),
+                     "--mu", str(tmp_path / "mu.csv"),
+                     "--nu", str(tmp_path / "nu.csv"),
+                     "--epsilon", "0.003", "--out", str(tmp_path / "out")]) == 0
+        report = strict_json(tmp_path / "out" / "report.json")
+        want = sinkhorn_solve(cost, ProbabilityVector(mu), ProbabilityVector(nu),
+                              SolverConfig(epsilon=0.003, max_iter=100000,
+                                           tol=1e-8)).report
+        assert report["iterations"] == want.iterations
+        assert (report["extras"]["anderson_restarts"]
+                == want.extras["anderson_restarts"] > 0)
+
 
 class TestSynthCommand:
     def test_config_is_reproducible(self, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,84 @@ class TestSinkhornSolve:
         assert np.abs(shifted.plan.matrix - base.plan.matrix).max() <= 1e-12
 
 
+class TestToleranceNearRounding:
+    """A tol near rounding: the plan is the product whose residual the loop
+    measured, so a converged solve, or one whose budget ran out, returns it."""
+
+    def instance(self, offset):
+        n = 30
+        c = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=1.0, seed=2)).matrix + offset
+        return (c, *synth_marginals(n, n, seed=2))
+
+    @pytest.mark.parametrize("mode", ["direct", "auto", "log"])
+    def test_converged_plan_is_returned(self, mode):
+        c, mu, nu = self.instance(0.0)
+        result = sinkhorn_solve(c, mu, nu,
+                                SolverConfig(epsilon=1.0, max_iter=1000, tol=1e-15),
+                                mode=mode)
+        assert result.report.converged
+        report, plan = result.report, result.plan
+        assert report.feasibility_residual == max(plan.row_residual, plan.col_residual)
+
+    @pytest.mark.parametrize("mode", ["auto", "log"])
+    def test_last_iterate_is_returned_when_the_budget_runs_out(self, mode):
+        c, mu, nu = self.instance(1000.0)
+        result = sinkhorn_solve(c, mu, nu,
+                                SolverConfig(epsilon=1.0, max_iter=1000, tol=3e-16),
+                                mode=mode)
+        report, plan = result.report, result.plan
+        assert report.converged or report.iterations == 1000
+        assert report.extras["log_domain"]
+        assert report.feasibility_residual == max(plan.row_residual, plan.col_residual)
+
+
+def reference_sinkhorn(c, mu, nu, eps, tol):
+    """The plain loop u <- mu / K v, v <- nu / K^T u on K = e^{-c/eps}, until
+    both L1 marginal residuals of its plan are within tol; (plan, iterations)."""
+    K = np.exp(-c / eps)
+    v = np.ones(nu.size)
+    for it in itertools.count(1):
+        u = mu / (K @ v)
+        v = nu / (K.T @ u)
+        plan = u[:, None] * K * v
+        if max(np.abs(plan.sum(axis=1) - mu).sum(),
+               np.abs(plan.sum(axis=0) - nu).sum()) <= tol:
+            return plan, it
+
+
+class TestAcceleratedLoopMatchesReference:
+    """The Anderson-accelerated solve reaches the plain loop's plan, in fewer
+    iterations; its guard keeps the dual objective ascending."""
+
+    @pytest.mark.parametrize("mode", ["direct", "auto", "log"])
+    def test_plan_and_iterations(self, mode):
+        n, eps, tol = 256, 0.02, 1e-12
+        c = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=eps, seed=5)).matrix
+        mu, nu = synth_marginals(n, n, seed=5)
+        want, plain_iterations = reference_sinkhorn(c, mu.values, nu.values, eps, tol)
+        got = solved(c, mu, nu, SolverConfig(epsilon=eps, max_iter=10000, tol=tol),
+                     mode=mode)
+        assert np.abs(got.plan.matrix - want).max() <= 1e-10 * want.max()
+        # 243 plain iterations, 16 accelerated
+        assert 10 * got.report.iterations <= plain_iterations
+
+    @pytest.mark.parametrize("mode", ["direct", "auto", "log"])
+    def test_guard_keeps_the_dual_ascending(self, mode):
+        # at eps = 0.003 the guard refuses candidates: in direct mode mostly
+        # those whose scaling would leave [e^-100, e^100], which never raise
+        n, eps, tol = 8, 0.003, 1e-12
+        rng = np.random.default_rng(3)
+        c = rng.uniform(0, 1, size=(n, n))
+        mu, nu = (ProbabilityVector(rng.dirichlet(np.ones(n))) for _ in range(2))
+        _, plain_iterations = reference_sinkhorn(c, mu.values, nu.values, eps, tol)
+        report = solved(c, mu, nu, SolverConfig(epsilon=eps, max_iter=10000, tol=tol),
+                        mode=mode).report
+        assert report.extras["anderson_restarts"] > 0
+        assert report.iterations < plain_iterations
+        trace = report.objective_trace
+        assert np.all(np.diff(trace) >= -1e-12 * np.abs(trace[1:]))
+
+
 class TestLogModeAbsorbsByThreshold:
     """``"log"`` absorbs once for its shifted start, then only when a scaling
     leaves [e^-100, e^100]; absorption is exact, so the plan does not move."""
@@ -249,8 +329,8 @@ class TestTraces:
     @pytest.mark.parametrize("mode,offset", [("direct", 0.0), ("log", 0.0),
                                              ("log", 1000.0), ("auto", 1000.0)])
     def test_trace_and_value_match_dual_objective(self, mode, offset):
-        # the trace is taken from the sweep's products, the returned value
-        # from the plan; both must agree with the reference at every budget
+        # the trace is taken from the sweep's products; it and the returned
+        # value must agree with the reference at every budget, converged or not
         n = 30
         c = synth_cost(SyntheticSpec(n=n, p=2.0, epsilon=1.0, seed=2)).matrix + offset
         mu, nu = synth_marginals(n, n, seed=2)
@@ -258,7 +338,6 @@ class TestTraces:
             result = sinkhorn_solve(c, mu, nu,
                                     SolverConfig(epsilon=1.0, max_iter=k, tol=1e-15),
                                     mode=mode)
-            assert not result.report.converged
             ref = dual_objective(result.duals, c, mu, nu)
             assert result.report.objective_trace[-1] == pytest.approx(ref, rel=1e-12)
             assert result.dual_objective == ref
