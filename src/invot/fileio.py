@@ -130,14 +130,14 @@ def write_checkpoint(path, cost: CostParameterization, config: TrainConfig,
 def _net_from_blob(blob) -> FeedForwardNet:
     dims = blob["layer_dims"]
     flat = np.array([float(x) for x in blob["params"]])
+    if flat.size != sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:])):  # weights, biases
+        raise ShapeHeaderMismatch("checkpoint parameter count does not match dims")
     weights, biases, pos = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(flat[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in))
         pos += fan_out * fan_in
         biases.append(flat[pos:pos + fan_out])
         pos += fan_out
-    if pos != flat.size:
-        raise ShapeHeaderMismatch("checkpoint parameter count does not match dims")
     return FeedForwardNet(layer_dims=dims, weights=weights, biases=biases,
                           output_activation=blob["output_activation"])
 

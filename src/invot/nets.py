@@ -10,13 +10,14 @@ of any autodiff dependency and bitwise deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .errors import DimMismatch
 
 OUTPUT_ACTIVATIONS = ("relu", "identity", "softplus")
+_B1, _B2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's betas and eps (Kingma & Ba's defaults)
 
 
 def _out_act(z, kind):
@@ -135,16 +136,13 @@ class AdamState:
 
 
 def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
-              state: AdamState, lr: float = 1e-4,
-              betas: Tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8) -> None:
+              state: AdamState, lr: float = 1e-4) -> None:
     """One bias-corrected Adam update of params, state.m and state.v in place."""
-    b1, b2 = betas
     state.step += 1
-    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    c1, c2 = 1.0 - _B1 ** state.step, 1.0 - _B2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= _B1
+        m += (1.0 - _B1) * g
+        v *= _B2
+        v += (1.0 - _B2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)

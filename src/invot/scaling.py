@@ -40,7 +40,6 @@ from .types import (
     SolverConfig,
     TransportPlan,
     _error_to,
-    _outer_sum,
     as_matrix,
 )
 
@@ -187,7 +186,8 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
 
     alpha, beta = x[:m], x[m:]
     duals = DualPotentials(alpha=alpha, beta=beta, epsilon=eps)
-    affinity = (problem.constraint.affinity(_outer_sum(alpha, beta) + L)
+    # c = P(alpha + beta + L), and the affinity of P(z) is that of z
+    affinity = (problem.constraint.affinity(c)
                 if isinstance(problem.constraint, LinearAffinity) else None)
     report = SolveReport(
         iterations=it,

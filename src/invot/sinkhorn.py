@@ -14,16 +14,13 @@ overwrites u), and both it and ``learn_cost`` accelerate their maps by one
 current kernel, with no rebuild of K: an iteration costs two m-by-n
 matrix-vector products, and a third, K e^{y/eps}, when it tries a candidate.
 Its traces reuse them: the plan diag(u) K diag(v) has mass u . (K v). The
-returned plan is that product, built in K's buffer. Outside `_Sweep._build`
-the only m-by-n exp is `plan_from_duals`: `dual_objective` (which
-`SinkhornResult` calls on demand) and the BCD feasibility residual.
+returned plan is that product, built in K's buffer.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,19 +141,11 @@ class _Anderson:
 
 @dataclass(frozen=True)
 class SinkhornResult:
-    """Duals, plan and report of a solve. ``dual_objective`` is
-    `dual_objective` at the duals and the solve's cost, computed on first read,
-    as it needs the m-by-n exp that the solve itself avoids."""
+    """Duals, plan and report; objective_trace[-1] is `dual_objective` to rounding."""
 
     duals: DualPotentials
     plan: TransportPlan
     report: SolveReport
-    cost: np.ndarray = field(repr=False)
-
-    @cached_property
-    def dual_objective(self) -> float:
-        return dual_objective(self.duals, self.cost, self.plan.row_marginal,
-                              self.plan.col_marginal)
 
 
 def plan_from_duals(duals: DualPotentials, cost) -> np.ndarray:
@@ -299,4 +288,4 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
         extras={"log_domain": sweep.absorptions > 0, "absorptions": sweep.absorptions,
                 "anderson_restarts": restarts, "residual_trace": np.asarray(res_trace)},
     )
-    return SinkhornResult(duals=duals, plan=plan, report=report, cost=c)
+    return SinkhornResult(duals=duals, plan=plan, report=report)

@@ -137,10 +137,6 @@ class CostMatrix:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, 2))
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 @dataclass(frozen=True)
 class DualPotentials:

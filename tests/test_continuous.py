@@ -12,7 +12,7 @@ from invot import (
     train,
     xavier_init,
 )
-from invot.errors import BadBounds, Diverged
+from invot.errors import BadBounds, DimMismatch, Diverged
 
 
 class FnNet:
@@ -432,3 +432,21 @@ class TestCostParameterization:
     def test_zero_and_negative_scaleddiff_scale_accepted(self, scale, feature):
         cost = CostParameterization("scaleddiff", xavier_init([1, 1]), scale=scale)
         assert cost.features(np.array([[0.5]]), np.array([[0.25]])) == feature
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: CostParameterization("raw", xavier_init([1, 1])).features(
+        np.zeros((2, 1)), np.zeros((2, 1))), DimMismatch, "feature dim 2", id="feature-dim"),
+    pytest.param(lambda: SampleSet(xs=np.zeros((3, 1)), ys=np.zeros((2, 1))),
+                 DimMismatch, "aligned", id="misaligned-samples"),
+    pytest.param(lambda: SampleSet(xs=np.zeros((0, 1)), ys=np.zeros((0, 1))),
+                 DimMismatch, "nonempty", id="no-samples"),
+    pytest.param(lambda: SampleSet(xs=[[0.0], [np.inf]], ys=[[0.0], [1.0]]),
+                 DimMismatch, "finite", id="non-finite-samples"),
+    pytest.param(lambda: mc_integral_uniform(ZERO_1D, ZERO_1D, ZERO_COST, UNIT_BOX, n_s=0),
+                 BadBounds, "n_s", id="no-draws"),
+    pytest.param(lambda: eval_cost_on_grid(ZERO_COST, np.zeros((0, 1)), np.zeros((0, 1))),
+                 BadBounds, "grid must be nonempty", id="empty-grid")])
+def test_bad_inputs_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

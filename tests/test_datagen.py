@@ -10,7 +10,7 @@ from invot import (
     synth_cost,
     synth_marginals,
 )
-from invot.errors import BadBounds
+from invot.errors import BadBounds, DimMismatch
 from conftest import random_plan
 
 
@@ -102,3 +102,18 @@ class TestSamplePairs:
         a = sample_pairs(plan, np.arange(3.0), np.arange(2.0), N=100, seed=9)
         b = sample_pairs(plan, np.arange(3.0), np.arange(2.0), N=100, seed=9)
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: SyntheticSpec(n=4, p=0, epsilon=1.0), BadBounds, "p must be nonzero",
+                 id="zero-exponent"),
+    pytest.param(lambda: synth_marginals(0, 3), BadBounds, "at least 1", id="no-marginal"),
+    pytest.param(lambda: sample_pairs(random_plan(np.random.default_rng(0), 3, 2),
+                                      np.arange(3.0), np.arange(2.0), N=0),
+                 BadBounds, "N must be at least 1", id="no-draws"),
+    pytest.param(lambda: sample_pairs(random_plan(np.random.default_rng(0), 3, 2),
+                                      np.arange(2.0), np.arange(2.0), N=5),
+                 DimMismatch, "supports", id="support-mismatch")])
+def test_bad_inputs_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -46,6 +46,16 @@ class TestMatrixCsv:
             read_matrix_csv(path)
         assert err.value.line == 2 and err.value.column == 2
 
+    @pytest.mark.parametrize("text,error,message", [
+        ("", ParseError, "empty file"), ("\n \n", ParseError, "empty file"),
+        ("2\n1,2\n3,4\n", ShapeHeaderMismatch, "expected 'rows,cols' header"),
+        ("2,2,1\n1,2\n3,4\n", ShapeHeaderMismatch, "expected 'rows,cols' header")])
+    def test_empty_file_or_header_arity_refused(self, tmp_path, text, error, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
+            read_matrix_csv(path)
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("3,2\n1,2\n3,4\n")
@@ -248,6 +258,17 @@ class TestCheckpointFormat:
         blob["scale"] = scale
         path.write_text(json.dumps(blob))
         with pytest.raises(BadBounds):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("net,extra", [("cost", -1), ("alpha", 1), ("beta", -2)])
+    def test_parameter_count_mismatch_rejected(self, tmp_path, net, extra):
+        path = tmp_path / "ckpt.json"
+        write_tiny_checkpoint(path)
+        blob = json.loads(path.read_text())
+        params = blob[net]["params"]
+        blob[net]["params"] = params + ["0"] * extra if extra > 0 else params[:extra]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ShapeHeaderMismatch, match="parameter count"):
             read_checkpoint(path)
 
 

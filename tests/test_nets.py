@@ -9,6 +9,7 @@ from invot import (
     net_gradient,
     xavier_init,
 )
+from invot.errors import DimMismatch
 
 
 def linear_net(w, b, activation="identity"):
@@ -102,6 +103,30 @@ class TestGradient:
             assert np.allclose(got, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims,weights,biases,activation,message", [
+    pytest.param([1], [], [], "identity", "bad layer dims", id="one-layer"),
+    pytest.param([1, 2], [np.zeros((2, 1))], [np.zeros(2)], "identity", "bad layer dims",
+                 id="two-outputs"),
+    pytest.param([0, 1], [np.zeros((1, 0))], [np.zeros(1)], "identity", "bad layer dims",
+                 id="empty-input"),
+    pytest.param([1, 1], [np.zeros((1, 1))], [np.zeros(1)], "sigmoid",
+                 "unknown output activation", id="activation"),
+    pytest.param([2, 1], [np.zeros((1, 1))], [np.zeros(1)], "identity",
+                 "parameter shapes", id="weight-shape"),
+    pytest.param([1, 1], [np.zeros((1, 1))], [np.zeros(2)], "identity",
+                 "parameter shapes", id="bias-shape"),
+    pytest.param([1, 1], [np.full((1, 1), np.nan)], [np.zeros(1)], "identity",
+                 "not finite", id="non-finite")])
+def test_bad_net_refused(dims, weights, biases, activation, message):
+    with pytest.raises(DimMismatch, match=message):
+        FeedForwardNet(dims, weights, biases, activation)
+
+
+def test_wrong_input_dim_refused():
+    with pytest.raises(DimMismatch, match="input dim 3 does not match net input 1"):
+        linear_net([[1.0]], 0.0).forward_batch(np.zeros((2, 3)))
+
+
 class TestXavierInit:
     def test_bound_for_equal_fans(self):
         net = xavier_init([3, 3, 1], seed=0)
@@ -141,7 +166,7 @@ class TestAdam:
         eps = 1e-8
         params = [np.array([2.0])]
         state = AdamState.zeros_like(params)
-        adam_step(params, [np.array([g])], state, lr=lr, eps=eps)
+        adam_step(params, [np.array([g])], state, lr=lr)
         expect = 2.0 - lr * g / (abs(g) + eps)
         assert params[0][0] == pytest.approx(expect, abs=1e-16)
 

