@@ -34,7 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constraints import Box, Composite, Constraint
+from .constraints import Box, Constraint
 from .errors import BadBounds
 from .scaling import InverseProblem, InverseSolution
 from .sinkhorn import _log_plan, _Sweep
@@ -100,7 +100,7 @@ def bcd_alpha_update(state: BcdState, problem: InverseProblem) -> BcdState:
     sweep = _Sweep(state.cost, problem.observed.row_marginal.values, None,
                    problem.config.epsilon, state.alpha, state.beta, axis=1)
     sweep.scale(1)
-    return replace(state, alpha=_center(sweep.alpha + sweep.eps * np.log(sweep.u)))
+    return replace(state, alpha=_center(sweep.duals()[0]))
 
 
 def bcd_beta_update(state: BcdState, problem: InverseProblem) -> BcdState:
@@ -108,23 +108,21 @@ def bcd_beta_update(state: BcdState, problem: InverseProblem) -> BcdState:
     sweep = _Sweep(state.cost, None, problem.observed.col_marginal.values,
                    problem.config.epsilon, state.alpha, state.beta, axis=0)
     sweep.scale(0)
-    return replace(state, beta=_center(sweep.beta + sweep.eps * np.log(sweep.v)))
+    return replace(state, beta=_center(sweep.duals()[1]))
 
 
 def _c_projection(constraint: Constraint, M_c: float):
-    """c -> clip(constraint.prox(c), 0, M_c), with one clip.
+    """c -> clip(constraint.prox(c), 0, M_c), split as in `learn_cost`: the
+    linear head's prox into a new array, then each tail part and [0, M_c] in place."""
+    head, tail = constraint.split()
+    tail = tail + [Box(0.0, M_c)]
 
-    A trailing Box merges into [0, M_c]: clip(., 0, M_c) is monotone, so
-    clipping to [a, b] and then to [0, M_c] equals clipping once to
-    [clip(a, 0, M_c), clip(b, 0, M_c)], bit for bit.
-    """
-    parts = constraint.parts if isinstance(constraint, Composite) else [constraint]
-    lo, hi = 0.0, M_c
-    if parts and isinstance(parts[-1], Box):
-        box, parts = parts[-1], parts[:-1]
-        lo, hi = min(max(box.lower, 0.0), M_c), min(max(box.upper, 0.0), M_c)
-    head = Composite(parts)
-    return lambda c: head.prox(c).clip(lo, hi)
+    def project(c):
+        out = head.prox(c)
+        for part in tail:
+            part.prox_(out)
+        return out
+    return project
 
 
 def _c_value(s, c, pihat, eps):

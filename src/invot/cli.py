@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 input error, 2 non-convergence / divergence,
 was not given). A solver whose iteration budget runs out first returns its
 last iterate with ``report.converged`` False; ``forward``, ``inverse`` and
 ``bcd`` then write every artifact, print one stderr line and exit 2
-(`_finish`). All artifacts are CSV/JSON files in the data-io formats and
-embed the resolved configuration and seed.
+(`_finish`), as ``train-continuous`` does when its cost net learned nothing.
+All artifacts are CSV/JSON files in the data-io formats and embed the
+resolved configuration and seed.
 """
 
 from __future__ import annotations
@@ -242,6 +243,10 @@ def cmd_train_continuous(args) -> int:
     write_report_json(out / "report.json", report, config)
     if (grid := _grid_eval(cost, box, d_x)) is not None:
         write_matrix_csv(out / "grid-eval.csv", grid)
+    if report.extras["cost_net_dead"]:
+        print("cost net learned nothing: its relu output was 0 on every row of the "
+              "last epoch (try another --seed)", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 
@@ -295,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=100000)
-    p.add_argument("--mode", choices=["auto", "direct", "log"], default="auto",
-                   help="auto: absorb out of e^+-100; direct: never; log: max-shift then auto")
+    p.add_argument("--mode", choices=["auto", "log"], default="auto",
+                   help="auto: absorb out of e^+-100; log: max-shift then auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_forward)
 

@@ -78,8 +78,8 @@ class Box(Constraint):
     def prox(self, chat) -> np.ndarray:
         return np.clip(as_matrix(chat), self.lower, self.upper)
 
-    def prox_(self, c) -> np.ndarray:
-        return np.clip(c, self.lower, self.upper, out=c)
+    def prox_(self, c) -> np.ndarray:  # the method: np.clip's dispatch costs about 1 us
+        return c.clip(self.lower, self.upper, out=c)
 
 
 class LinearAffinity(Constraint):

@@ -161,6 +161,8 @@ def train(samples: SampleSet, cost: CostParameterization,
     feasibility_residual is |I - 1|, with I the last epoch's mean of the
     collocation estimate of the integral of e^{alpha + beta - c}; I = 1
     where the loss is stationary in a constant shift of alpha.
+    ``extras["cost_net_dead"]``: a relu cost net's output pre-activation was
+    <= 0 on every row of the last epoch, so its data gradient was exactly 0.
     """
     rng = np.random.default_rng(config.seed)
     d_x = alpha_net.input_dim
@@ -176,6 +178,7 @@ def train(samples: SampleSet, cost: CostParameterization,
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
         losses, integrals = [], []
+        dead = cost.net.output_activation == "relu"
         for _step in range(steps_per_epoch):
             pi = np.arange(n) if batch >= n else rng.integers(0, n, size=batch)
             cx, cy = _split_xy(_sample_box(box, config.n_collocation, rng), d_x)
@@ -185,6 +188,7 @@ def train(samples: SampleSet, cost: CostParameterization,
             (a, cache_a), (b, cache_b), (c, cache_c) = (
                 alpha_net.forward_batch(x), beta_net.forward_batch(y),
                 cost.net.forward_batch(cost.features(x, y)))
+            dead = dead and float(cache_c[1].max()) <= 0.0
 
             with np.errstate(over="ignore"):
                 g_vals = np.exp(a[k:] + b[k:] - c[k:])
@@ -219,5 +223,6 @@ def train(samples: SampleSet, cost: CostParameterization,
         feasibility_residual=abs(float(np.mean(integrals)) - 1.0),
         converged=True,
         wall_clock_seconds=time.perf_counter() - t0,
+        extras={"cost_net_dead": dead},
     )
     return alpha_net, beta_net, cost, report

@@ -2,11 +2,10 @@
 
 All matrix scaling in the package (this solve, ``learn_cost`` and the BCD
 dual blocks) runs one absorption-stabilised sweep, `_Sweep` (Schmitzer,
-arXiv:1610.06519; Peyre & Cuturi, arXiv:1803.00567, sec. 4.4). ``mode`` sets
-when this solve absorbs: ``"direct"`` never, so a scaling that under/overflows
-raises NumericalOverflow; ``"auto"`` once a scaling leaves [e^-100, e^100] or
-under/overflows; ``"log"`` starts from a row-max-shifted kernel and then
-absorbs like ``"auto"``.
+arXiv:1610.06519; Peyre & Cuturi, arXiv:1803.00567, sec. 4.4). This solve
+absorbs, in every mode, once a scaling leaves [e^-100, e^100] or a half-step
+under/overflows; ``mode`` picks only the starting kernel: row-max-shifted for
+``"log"``, else plain (``"direct"`` is the benchmark's spelling of ``"auto"``).
 
 This solve's sweep is a fixed-point map of y = eps log v (the row half-step
 overwrites u), and both it and ``learn_cost`` accelerate their maps by one
@@ -191,8 +190,8 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
 
     The sweep is Anderson-accelerated (`_Anderson`) on y = eps log v. A
     candidate is refused for the plain step, which clears the memory, when its
-    scaling would leave [e^-100, e^100] (so it never absorbs or overflows, in
-    any mode) or when it lowers the semi-dual max_alpha D(alpha, beta) below
+    scaling would leave [e^-100, e^100] (so a candidate never absorbs or
+    overflows) or when it lowers the semi-dual max_alpha D(alpha, beta) below
     the plain step's: every plain sweep raises that concave function, so each
     guarded iteration ascends at least as far as a plain sweep from its start.
     ``extras["anderson_restarts"]`` counts the refusals,
@@ -232,8 +231,6 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
         absorptions = sweep.absorptions
         sweep.scale(1, Kv)
         Ktu = sweep.scale(0)
-        if mode == "direct" and sweep.absorptions:
-            raise NumericalOverflow("scaling vector under/overflow in direct mode")
         Kv = sweep.K @ sweep.v
         residual = max(float(np.abs(sweep.u * Kv - mu.values).sum()),
                        float(np.abs(sweep.v * Ktu - nu.values).sum()))
@@ -246,8 +243,7 @@ def sinkhorn_solve(cost, mu: ProbabilityVector, nu: ProbabilityVector,
         if it == config.max_iter:
             break
         # the band e^{+-100} is well inside the float range (e^709)
-        if mode != "direct" and max(
-                np.abs(np.log(s)).max() for s in (sweep.u, sweep.v)) > 100:
+        if max(np.abs(np.log(s)).max() for s in (sweep.u, sweep.v)) > 100:
             sweep.absorb(axis=1)
             Kv = None
         if sweep.absorptions != absorptions:  # the memory is against an older K

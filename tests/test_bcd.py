@@ -7,6 +7,7 @@ from invot import (
     BcdState,
     Box,
     Composite,
+    LinearAffinity,
     NoConstraint,
     SolverConfig,
     SymmetricZeroDiag,
@@ -266,6 +267,35 @@ class TestCostBlock:
             center = grid[np.argmin(vals)]
             radius = 2 * pitch
         assert np.abs(out.cost - center).max() <= 1e-3
+
+
+def _affinity(n):
+    rng = np.random.default_rng(7)
+    return LinearAffinity(rng.normal(size=(2, n)), rng.normal(size=(3, n)))
+
+
+PROJECTION_SHAPES = {
+    "sym0+box": lambda n: SYM_NONNEG,
+    "sym0": lambda n: SymmetricZeroDiag(),
+    "box-below-M_c": lambda n: Box(0.1, 1.5),
+    "none": lambda n: NoConstraint(),
+    "box-then-sym0": lambda n: Composite([Box(0.0, np.inf), SymmetricZeroDiag()]),
+    "affinity": _affinity,
+    "affinity+box": lambda n: Composite([_affinity(n), Box(-1.0, 3.0)]),
+    "sym0+wide-box": lambda n: Composite([SymmetricZeroDiag(), Box(-5.0, 10.0)]),
+}
+
+
+@pytest.mark.parametrize("shape", PROJECTION_SHAPES)
+@pytest.mark.parametrize("n", [5, 8])
+def test_c_projection_is_the_clipped_prox(shape, n):
+    # the split projection must be the plain composition bit for bit
+    constraint, M_c = PROJECTION_SHAPES[shape](n), 2.0
+    c = np.random.default_rng(n).uniform(-8.0, 12.0, size=(n, n))
+    want = np.clip(constraint.prox(c), 0.0, M_c)
+    got = bcd._c_projection(constraint, M_c)(c)
+    assert got.tobytes() == want.tobytes()
+    assert np.all((got >= 0.0) & (got <= M_c))
 
 
 SYM_BOX = Composite([SymmetricZeroDiag(), Box(0.0, 2.0)])

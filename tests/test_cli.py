@@ -389,7 +389,7 @@ class TestTrainContinuousCommand:
             assert main(["train-continuous",
                          "--pairs", str(tmp_path / "pairs.csv"),
                          "--epochs", "5", "--batch", "100", "--ns", "100",
-                         "--seed", "4", "--out", str(tmp_path / out)]) == 0
+                         "--seed", "6", "--out", str(tmp_path / out)]) == 0
         t1 = (tmp_path / "t1" / "loss-trace.csv").read_bytes()
         t2 = (tmp_path / "t2" / "loss-trace.csv").read_bytes()
         assert t1 == t2
@@ -403,13 +403,28 @@ class TestTrainContinuousCommand:
                         SampleSet(xs=rng.uniform(size=(50, 2)),
                                   ys=rng.uniform(size=(50, 2))))
         code = main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
-                     "--box", "0:1,0:1,0:1,0:1", "--epochs", "2",
+                     "--box", "0:1,0:1,0:1,0:1", "--epochs", "2", "--seed", "6",
                      "--out", str(tmp_path / "t")])
         assert code == 0
         assert "grid-eval.csv not written" in capsys.readouterr().err
         assert strict_json(tmp_path / "t" / "report.json")["iterations"] > 0
         assert (tmp_path / "t" / "checkpoint.json").exists()
         assert not (tmp_path / "t" / "grid-eval.csv").exists()
+
+    @pytest.mark.parametrize("seed,code", [(3, 2), (0, 0)])
+    def test_dead_cost_net_exit_code(self, tmp_path, capsys, seed, code):
+        # seed 3's relu cost net outputs 0 on every feature: it learns nothing
+        self.write_pairs(tmp_path)
+        assert main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
+                     "--epochs", "2", "--batch", "100", "--ns", "100",
+                     "--seed", str(seed), "--out", str(tmp_path / "t")]) == code
+        err = capsys.readouterr().err
+        assert err.count("cost net learned nothing") == (code == 2)
+        report = strict_json(tmp_path / "t" / "report.json")
+        assert report["extras"]["cost_net_dead"] is (code == 2)
+        assert report["converged"] is True
+        for name in ("checkpoint.json", "loss-trace.csv", "grid-eval.csv"):
+            assert (tmp_path / "t" / name).exists()
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         self.write_pairs(tmp_path)
@@ -441,7 +456,7 @@ class TestTrainContinuousCommand:
     def test_raw_input_grid_covers_the_box(self, tmp_path):
         self.write_random_pairs(tmp_path)  # 1-d x and y
         assert main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
-                     "--input-mode", "raw", "--epochs", "1",
+                     "--input-mode", "raw", "--epochs", "1", "--seed", "6",
                      "--out", str(tmp_path / "t")]) == 0
         grid = read_matrix_csv(tmp_path / "t" / "grid-eval.csv")
         assert grid.shape == (10000, 3)  # (x, y, cost) on a 100 x 100 grid

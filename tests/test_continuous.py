@@ -245,6 +245,21 @@ class TestTrain:
         vals, _ = cost_out.net.forward_batch(xi)
         assert vals.max() - vals.min() <= 0.05
 
+    @pytest.mark.parametrize("seed,dead", [(3, True), (0, False)])
+    def test_dead_cost_net_is_reported(self, seed, dead):
+        # seed 3's relu output is <= 0 on all of [0, 1]: its data gradient is
+        # exactly 0, so Adam never moves it, and the report says so
+        samples = quadratic_task(n_pairs=400)
+        cost, alpha, beta = small_nets(seed=seed)
+        before = [p.copy() for p in cost.net.parameters()]
+        config = TrainConfig(batch_size=100, n_collocation=100, epochs=3, seed=0,
+                             domain_box=UNIT_BOX)
+        report = train(samples, cost, alpha, beta, config)[3]
+        assert report.extras["cost_net_dead"] is dead
+        assert report.converged
+        unchanged = all(np.array_equal(p, q) for p, q in zip(before, cost.net.parameters()))
+        assert unchanged is dead
+
     def test_divergence_is_loud(self):
         samples = quadratic_task(n_pairs=200)
         cost, alpha, beta = small_nets(seed=8)

@@ -1,7 +1,9 @@
 """The benchmark (perfbench/) reaches `invot` names by string and by attribute.
 
-A renamed or deleted name would only show when a benchmark run fails; these
-tests make it fail here instead. They read perfbench/ and change nothing.
+A renamed or deleted name, or a forward ``mode`` spelling that
+`sinkhorn_solve` no longer accepts, would only show when a benchmark run
+fails; these tests make it fail here instead. They read perfbench/ and
+change nothing.
 """
 
 import ast
@@ -9,6 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import invot
@@ -50,3 +53,30 @@ def test_target_resolves(module_name, attr):
 def test_package_attribute_resolves(file, name):
     # a submodule counts: perfbench imports the ones it names (import invot.cli)
     assert hasattr(invot, name) or importlib.util.find_spec(f"invot.{name}") is not None
+
+
+def _forward_modes():
+    """Every string passed as ``mode`` in workloads.py: keyword or default."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "mode":
+            found.add(node.value)
+        elif isinstance(node, ast.FunctionDef):
+            named = node.args.args[len(node.args.args) - len(node.args.defaults):]
+            found |= {d for a, d in zip(named, node.args.defaults) if a.arg == "mode"}
+    return sorted({v.value for v in found
+                   if isinstance(v, ast.Constant) and isinstance(v.value, str)})
+
+
+def test_workloads_pass_modes():
+    assert _forward_modes()  # the parse still finds the benchmark's modes
+
+
+@pytest.mark.parametrize("mode", _forward_modes())
+def test_forward_mode_accepted(mode):
+    rng = np.random.default_rng(0)
+    mu, nu = (invot.ProbabilityVector(rng.dirichlet(np.ones(3))) for _ in range(2))
+    result = invot.sinkhorn_solve(rng.uniform(size=(3, 3)), mu, nu,
+                                  invot.SolverConfig(epsilon=0.5, tol=1e-10), mode=mode)
+    assert result.report.converged
