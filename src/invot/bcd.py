@@ -12,15 +12,15 @@ its sup-norm stays within the bounded-variation radius
 
     M_alpha = M_c + eps * log(mu_max / mu_min)   (M_beta analogous),
 
-which keeps the whole iterate sequence inside a fixed box. The c block is
-solved inexactly by projected gradient steps of Armijo size: the first tries
-eps / max(softmax), later ones the Barzilai-Borwein secant step, each halved
-until the objective decreases enough, but never below eps (= 1/L). The block
-ends at the first step that moves c by at most a fixed fraction of its first
-step, or whose decrease is within rounding. The first step is always taken,
-and one sufficient-decrease step of size >= 1/L per block is all the O(1/k)
-rate of `rate_bound_constant` needs (Beck & Tetruashvili, SIAM J. Optim.
-2013); the steps after it only add decrease.
+which keeps the whole iterate sequence inside a fixed box. The c block is solved
+inexactly by gradient steps of Armijo size, projected by the prox of
+Composite([constraint, Box(0, M_c)]): the first tries eps / max(softmax), later ones
+the Barzilai-Borwein secant step, each halved until the objective decreases enough,
+but never below eps (= 1/L). The block ends at the first step that moves c by at
+most a fixed fraction of its first step, or whose decrease is within rounding. The
+first step is always taken, and one sufficient-decrease step of size >= 1/L per
+block is all the O(1/k) rate of `rate_bound_constant` needs (Beck & Tetruashvili,
+SIAM J. Optim. 2013); the steps after it only add decrease.
 
 Every exp here but the alpha and beta blocks' (`_Sweep`) is the one in `_lse`; the
 last one's softmax is the returned duals' model plan, whose marginals give the residual.
@@ -34,7 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constraints import Box, Constraint
+from .constraints import Box, Composite
 from .errors import BadBounds
 from .scaling import InverseProblem, InverseSolution
 from .sinkhorn import _log_plan, _Sweep
@@ -111,20 +111,6 @@ def bcd_beta_update(state: BcdState, problem: InverseProblem) -> BcdState:
     return replace(state, beta=_center(sweep.duals()[1]))
 
 
-def _c_projection(constraint: Constraint, M_c: float):
-    """c -> clip(constraint.prox(c), 0, M_c), split as in `learn_cost`: the
-    linear head's prox into a new array, then each tail part and [0, M_c] in place."""
-    head, tail = constraint.split()
-    tail = tail + [Box(0.0, M_c)]
-
-    def project(c):
-        out = head.prox(c)
-        for part in tail:
-            part.prox_(out)
-        return out
-    return project
-
-
 def _c_value(s, c, pihat, eps):
     """f(c) = <c, pihat> + eps lse((s - c)/eps), the size of its two terms
     (which bounds its rounding) and its softmax p, by one exp."""
@@ -146,8 +132,8 @@ def bcd_c_update(state: BcdState, problem: InverseProblem) -> BcdState:
     f(c) = <c, pihat> + eps lse((s - c)/eps) has gradient g = pihat - p and
     curvature at most max(p)/eps. The first step tries t = eps / max(p),
     later ones the Barzilai-Borwein step |dc|^2 / <dc, dg> (eps / max(p)
-    where that is not positive). t is halved until c+ = proj(c - t g), onto
-    [0, M_c] and the problem constraint, has f(c+) <= f(c) + <g, c+ - c> +
+    where that is not positive). t is halved until c+ = proj(c - t g), by the
+    prox of Composite([constraint, Box(0, M_c)]), has f(c+) <= f(c) + <g, c+ - c> +
     |c+ - c|^2 / (2t) up to a rise of rounding size (1e-13 of f's terms);
     t = eps (1/L) always passes, so it is the floor.
 
@@ -160,7 +146,7 @@ def bcd_c_update(state: BcdState, problem: InverseProblem) -> BcdState:
     """
     eps = problem.config.epsilon
     pihat = problem.observed.matrix
-    project = _c_projection(problem.constraint, state.M_c)
+    project = Composite([problem.constraint, Box(0.0, state.M_c)]).prox
     s = state.alpha[:, None] + state.beta
     c = state.cost
     f, size, p = _c_value(s, c, pihat, eps)
@@ -205,8 +191,8 @@ def bcd_solve(problem: InverseProblem, M_c: float = 2.0, truth=None,
     eps = problem.config.epsilon
     mu, nu = problem.observed.row_marginal.values, problem.observed.col_marginal.values
     M_alpha, M_beta = variation_bounds(problem, M_c)
-    state = BcdState(alpha=np.zeros(m), beta=np.zeros(n),
-                     cost=_c_projection(problem.constraint, M_c)(np.zeros((m, n))),
+    cost = Composite([problem.constraint, Box(0.0, M_c)]).prox(np.zeros((m, n)))
+    state = BcdState(alpha=np.zeros(m), beta=np.zeros(n), cost=cost,
                      M_c=M_c, M_alpha=M_alpha, M_beta=M_beta)
     psi = []
     err_trace = []

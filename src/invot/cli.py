@@ -89,11 +89,6 @@ def _parse_constraints(specs):
                                         1 if sign == "+" else -1))
         else:
             raise ValueError(f"unknown constraint {spec!r}")
-    if not parts:
-        from .constraints import NoConstraint
-        return NoConstraint()
-    if len(parts) == 1:
-        return parts[0]
     return Composite(parts)
 
 
@@ -167,6 +162,8 @@ def cmd_inverse(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, not {args.reps}")
     out = _outdir(args.out)
     sizes = [int(s) for s in args.sizes.split(",")]
     epsilons = [float(e) for e in args.epsilons.split(",")]
@@ -274,7 +271,8 @@ def cmd_eval(args) -> int:
     cost = read_matrix_csv(args.cost)
     truth = read_matrix_csv(args.truth)
     err = relative_error(cost, truth)
-    corr = float(np.corrcoef(cost.ravel(), truth.ravel())[0, 1])
+    with np.errstate(invalid="ignore", divide="ignore"):  # nan for a constant input
+        corr = float(np.corrcoef(cost.ravel(), truth.ravel())[0, 1])
     print(f"relative_error {err:.6e}")
     print(f"pearson_correlation {corr:.6f}")
     return EXIT_OK

@@ -42,7 +42,7 @@ class Constraint:
         raise NotImplementedError
 
     def split(self):
-        """(P, tail): prox is P, then each tail part; P is linear (has prox_sum)."""
+        """(P, tail): prox is P, then each tail part; P is linear, no two tail boxes adjoin."""
         return (self, []) if hasattr(self, "prox_sum") else (NoConstraint(), [self])
 
     def prox_(self, c) -> np.ndarray:  # prox(c), written into c
@@ -111,17 +111,27 @@ class LinearAffinity(Constraint):
 
 
 class Composite(Constraint):
-    """Apply member proxes in declared order (e.g. symmetrize then clamp)."""
+    """Member proxes in declared order (e.g. symmetrize then clamp), run as the split
+    built once: the linear head, then the tail in place. Adjacent boxes compose into one
+    clamp, clip(x, clip(a, c, d), clip(b, c, d)), bit for bit unless that is [0, 0]."""
 
     def __init__(self, parts):
-        self.parts = list(parts)
+        self.parts = tuple(parts)
+        self._head, self._tail = self.parts[0].split() if self.parts else (NoConstraint(), [])
+        for part in self.parts[1:]:
+            if isinstance(part, Box) and self._tail and isinstance(self._tail[-1], Box):
+                prev, lo, hi = self._tail[-1], part.lower, part.upper
+                box = Box(min(max(prev.lower, lo), hi), min(max(prev.upper, lo), hi))
+                if box.lower or box.upper:  # at [0, 0] a zero's sign could differ
+                    self._tail[-1] = box
+                    continue
+            self._tail.append(part)
 
     def prox(self, chat) -> np.ndarray:
-        out = as_matrix(chat)
-        for part in self.parts:
-            out = part.prox(out)
+        out = self._head.prox(chat)
+        for part in self._tail:
+            part.prox_(out)
         return out
 
     def split(self):
-        head, tail = self.parts[0].split() if self.parts else (NoConstraint(), [])
-        return head, tail + self.parts[1:]
+        return self._head, list(self._tail)

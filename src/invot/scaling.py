@@ -6,10 +6,10 @@ linear (`Constraint.split`), so P(L), L = -eps log pihat, is computed once:
 
     (alpha, beta) <- sweep(c);   c <- tail(P(L) + P(alpha + beta))
 
-P(alpha + beta) has a closed form (`prox_sum`: h + h with a zero diagonal for
-sym0, rank 2 for LinearAffinity) and the Box tail clamps in place. The sweep's
-kernel is rebuilt in place as the plan of the new (alpha, beta, c); its K 1
-serves the next row half-step, the objective_E trace and the residual.
+P(alpha + beta) has a closed form (`prox_sum`: h + h with a zero diagonal for sym0,
+rank 2 for LinearAffinity), and the tail (one clamp per run of boxes, `Composite`)
+runs in place. The sweep's kernel is rebuilt in place as the plan of the new (alpha,
+beta, c); its K 1 serves the next row half-step, the objective_E trace and residual.
 
 So the loop is a fixed-point map G of x = (alpha, beta) alone, which
 `learn_cost` accelerates in the gauge mean(alpha) = mean(beta) by the type-II
@@ -123,6 +123,8 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
     """
     if target_rel_err is not None and truth is None:
         raise BadBounds("target_rel_err requires a reference cost")
+    if target_rel_err is not None and not 0 < target_rel_err < np.inf:
+        raise BadBounds(f"target_rel_err must be in (0, inf), not {target_rel_err}")
     pihat = problem.observed.matrix
     mu = problem.observed.row_marginal.values
     nu = problem.observed.col_marginal.values
@@ -186,9 +188,8 @@ def learn_cost(problem: InverseProblem, c_init=None, truth=None,
 
     alpha, beta = x[:m], x[m:]
     duals = DualPotentials(alpha=alpha, beta=beta, epsilon=eps)
-    # c = P(alpha + beta + L), and the affinity of P(z) is that of z
-    affinity = (problem.constraint.affinity(c)
-                if isinstance(problem.constraint, LinearAffinity) else None)
+    # c = P(alpha + beta + L) for a split of a LinearAffinity alone; P(z) has z's affinity
+    affinity = head.affinity(c) if isinstance(head, LinearAffinity) and not tail else None
     report = SolveReport(
         iterations=it,
         objective_trace=np.asarray(obj_trace),

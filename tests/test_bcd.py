@@ -278,6 +278,7 @@ PROJECTION_SHAPES = {
     "sym0+box": lambda n: SYM_NONNEG,
     "sym0": lambda n: SymmetricZeroDiag(),
     "box-below-M_c": lambda n: Box(0.1, 1.5),
+    "box-above-M_c": lambda n: Box(2.5, 4.0),  # every entry clamps to M_c = 2
     "none": lambda n: NoConstraint(),
     "box-then-sym0": lambda n: Composite([Box(0.0, np.inf), SymmetricZeroDiag()]),
     "affinity": _affinity,
@@ -289,13 +290,17 @@ PROJECTION_SHAPES = {
 @pytest.mark.parametrize("shape", PROJECTION_SHAPES)
 @pytest.mark.parametrize("n", [5, 8])
 def test_c_projection_is_the_clipped_prox(shape, n):
-    # the split projection must be the plain composition bit for bit
+    # BCD's feasible set, whose split composes adjacent boxes into one clamp,
+    # must project as the plain composition bit for bit
     constraint, M_c = PROJECTION_SHAPES[shape](n), 2.0
     c = np.random.default_rng(n).uniform(-8.0, 12.0, size=(n, n))
     want = np.clip(constraint.prox(c), 0.0, M_c)
-    got = bcd._c_projection(constraint, M_c)(c)
+    feasible = Composite([constraint, Box(0.0, M_c)])
+    got = feasible.prox(c)
     assert got.tobytes() == want.tobytes()
     assert np.all((got >= 0.0) & (got <= M_c))
+    tail = feasible.split()[1]
+    assert not any(isinstance(a, Box) and isinstance(b, Box) for a, b in zip(tail, tail[1:]))
 
 
 SYM_BOX = Composite([SymmetricZeroDiag(), Box(0.0, 2.0)])

@@ -368,11 +368,14 @@ class TestBenchCommand:
         assert code == 2
         assert read_matrix_csv(tmp_path / "b" / "bench.csv").shape == (1, 4)
 
+    # a nan target would never count as missed, and no reps would measure nothing
     @pytest.mark.parametrize("flag,value", [("--sizes", "abc"),
-                                            ("--epsilons", "x")])
+                                            ("--epsilons", "x"),
+                                            ("--target-err", "nan"),
+                                            ("--reps", "0")])
     def test_unparsable_list_is_input_error(self, tmp_path, capsys, flag, value):
-        code = main(["bench", flag, value, "--reps", "1",
-                     "--out", str(tmp_path / "b")])
+        code = main(["bench", "--sizes", "12", "--epsilons", "1.0", "--reps", "1",
+                     flag, value, "--out", str(tmp_path / "b")])
         assert code == 1
         assert value in capsys.readouterr().err
         assert not (tmp_path / "b" / "bench.csv").exists()
@@ -507,6 +510,16 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "relative_error 5.0" in out
         assert "pearson_correlation 1.0" in out
+
+    def test_constant_cost_has_no_correlation(self, tmp_path, capsys, rng):
+        # a constant cost has no spread to correlate: nan, with no numpy warning
+        # (the suite turns RuntimeWarnings into errors)
+        write_matrix_csv(tmp_path / "a.csv", np.ones((4, 4)))
+        write_matrix_csv(tmp_path / "b.csv", rng.uniform(0, 1, size=(4, 4)))
+        assert main(["eval", "--cost", str(tmp_path / "a.csv"),
+                     "--truth", str(tmp_path / "b.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert "pearson_correlation nan" in out and err == ""
 
 
 def strict_json(path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,28 @@ class TestSplit:
             assert part.prox_(c) is c
         want = constraint.prox(np.add.outer(alpha, beta) + L)
         assert np.abs(c - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_adjacent_boxes_compose_into_one(self):
+        combo = Composite([SymmetricZeroDiag(), Box(0.0, np.inf), Box(0.0, 2.0)])
+        head, tail = combo.split()
+        assert type(head) is SymmetricZeroDiag
+        assert [(type(b), b.lower, b.upper) for b in tail] == [(Box, 0.0, 2.0)]
+        tail.append(Box(5.0, 6.0))  # split hands out a copy of the stored tail
+        assert len(combo.split()[1]) == 1 and isinstance(combo.parts, tuple)
+
+    def test_adjacent_boxes_compose_bit_for_bit(self):
+        # every pair of boxes over signed zeros, infinities and disjoint bounds
+        # ([0, 1] then [2, 3] has an empty naive intersection), on inputs with
+        # nan; a composed [0, 0] stays two clamps, since one clamp there can
+        # give a zero the other sign than two clamps do
+        vals = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, np.inf]
+        boxes = [(a, b) for a in vals for b in vals if a <= b]
+        x = np.array(vals + [np.nan, -3.0, 4.0, 0.25, 2.5])
+        for (a, b), (c, d) in itertools.product(boxes, boxes):
+            combo = Composite([Box(a, b), Box(c, d)])
+            want = np.clip(np.clip(x, a, b), c, d)
+            assert combo.prox(x).tobytes() == want.tobytes()
+            assert len(combo.split()[1]) == 1 or not np.nan_to_num(want).any()
 
 
 matrices_4x4 = st.lists(

@@ -284,7 +284,10 @@ class TestLearnCost:
     @pytest.mark.parametrize("truth,target,error", [
         pytest.param(np.ones((3, 3)), None, DimMismatch, id="truth0-DimMismatch"),
         pytest.param(np.zeros((4, 4)), None, ZeroReference, id="truth1-ZeroReference"),
-        pytest.param(None, 1e-3, BadBounds, id="None-BadBounds")])
+        pytest.param(None, 1e-3, BadBounds, id="None-BadBounds"),
+        # a target outside (0, inf) would stop nothing, or stop at once
+        *(pytest.param(np.ones((4, 4)), t, BadBounds, id=f"target-{t}")
+          for t in (np.nan, 0.0, np.inf))])
     def test_bad_truth_refused_before_first_iteration(self, rng, truth, target, error):
         class Tripwire(NoConstraint):
             def prox(self, chat):
@@ -315,6 +318,10 @@ class TestLearnCost:
                                            tol=1e-14))
         assert solution.affinity is not None
         assert relative_error(solution.cost, c_star) <= 1e-3
+        # the CLI wraps every constraint list in a Composite
+        wrapped = learn_cost(problem_from(plan, Composite([constraint]), max_iter=4000,
+                                          tol=1e-14))
+        assert wrapped.affinity.tobytes() == solution.affinity.tobytes()
 
 
 def reference_learn_cost(problem, c_init=None, truth=None, target_rel_err=None):
