@@ -29,7 +29,6 @@ from .continuous import (
     CostParameterization,
     SampleSet,
     TrainConfig,
-    eval_cost_on_grid,
     mc_integral_uniform,
     train,
 )

@@ -40,7 +40,6 @@ from . import (
     train,
     xavier_init,
 )
-from .continuous import eval_cost_on_grid
 from .errors import Diverged, InvotError, ZeroObservation
 from .fileio import (
     read_matrix_csv,
@@ -238,7 +237,7 @@ def cmd_train_continuous(args) -> int:
                              report.objective_trace])
     write_matrix_csv(out / "loss-trace.csv", trace)
     write_report_json(out / "report.json", report, config)
-    if (grid := _grid_eval(cost, box, d_x)) is not None:
+    if (grid := _grid_eval(cost, box)) is not None:
         write_matrix_csv(out / "grid-eval.csv", grid)
     if report.extras["cost_net_dead"]:
         print("cost net learned nothing: its relu output was 0 on every row of the "
@@ -247,32 +246,30 @@ def cmd_train_continuous(args) -> int:
     return EXIT_OK
 
 
-def _grid_eval(cost: CostParameterization, box, d_x):
-    """Rows of a 100-point grid, e.g. (feature, cost) for a 1-d feature; None if none fits."""
-    if cost.net.input_dim == 1 and cost.input_mode in ("absdiff", "scaleddiff"):
-        ends = np.array(box, dtype=float)  # row k: (lo, hi) of coordinate k
-        s = cost.scale if cost.input_mode == "scaleddiff" else 1.0
-        xi_max = max(abs(cx - s * cy) for cx in ends[:d_x].ravel()
-                     for cy in ends[d_x:].ravel())
-        xi = np.linspace(0.0, float(xi_max), 100)
-        vals, _ = cost.net.forward_batch(xi.reshape(-1, 1))
-        return np.column_stack([xi, vals])
-    if cost.input_mode == "raw" and d_x == 1 and len(box) == 2:
-        gx = np.linspace(box[0][0], box[0][1], 100)
-        gy = np.linspace(box[1][0], box[1][1], 100)
-        xx, yy = np.meshgrid(gx, gy, indexing="ij")
-        vals = eval_cost_on_grid(cost, xx.ravel().reshape(-1, 1),
-                                 yy.ravel().reshape(-1, 1))
-        return np.column_stack([xx.ravel(), yy.ravel(), vals])
-    print("no grid layout for this input; grid-eval.csv not written", file=sys.stderr)
+def _grid_eval(cost: CostParameterization, box):
+    """Rows (x, y, cost) on a 100 x 100 grid over a 2-d box for raw input, else
+    (feature, cost) at 100 features up to the box corners' largest; None if wider."""
+    if len(box) != 2:
+        print("no grid layout for this input; grid-eval.csv not written", file=sys.stderr)
+        return None
+    if cost.input_mode == "raw":
+        xx, yy = np.meshgrid(*(np.linspace(lo, hi, 100) for lo, hi in box), indexing="ij")
+        return np.column_stack([xx.ravel(), yy.ravel(),
+                                cost.evaluate(xx.reshape(-1, 1), yy.reshape(-1, 1))])
+    cx, cy = np.meshgrid(*box, indexing="ij")  # the box corners
+    xi_max = cost.features(cx.reshape(-1, 1), cy.reshape(-1, 1)).max()
+    xi = np.linspace(0.0, float(xi_max), 100).reshape(-1, 1)
+    return np.column_stack([xi, cost.evaluate(xi, np.zeros_like(xi))])  # |xi - s 0| = xi
 
 
 def cmd_eval(args) -> int:
     cost = read_matrix_csv(args.cost)
     truth = read_matrix_csv(args.truth)
     err = relative_error(cost, truth)
-    with np.errstate(invalid="ignore", divide="ignore"):  # nan for a constant input
-        corr = float(np.corrcoef(cost.ravel(), truth.ravel())[0, 1])
+    corr = np.nan  # np.corrcoef warns on a single entry
+    if cost.size > 1:
+        with np.errstate(invalid="ignore", divide="ignore"):  # nan for a constant input
+            corr = float(np.corrcoef(cost.ravel(), truth.ravel())[0, 1])
     print(f"relative_error {err:.6e}")
     print(f"pearson_correlation {corr:.6f}")
     return EXIT_OK

@@ -31,11 +31,12 @@ _DIVERGENCE_CAP = 1e8
 
 @dataclass
 class CostParameterization:
-    """A cost net plus the mapping from an (x, y) pair to the net input."""
+    """A cost net plus the map from an (x, y) pair to the net input: (x, y)
+    for "raw", |x - s y| for both difference modes."""
 
-    input_mode: str  # "raw" | "absdiff" | "scaleddiff"
+    input_mode: str  # "raw" | "absdiff" (scale 1) | "scaleddiff"
     net: FeedForwardNet
-    scale: float = 1.0  # y-coordinate scale for "scaleddiff"
+    scale: float = 1.0  # y-coordinate scale s of the feature |x - s y|
 
     def __post_init__(self):
         if self.input_mode not in ("raw", "absdiff", "scaleddiff"):
@@ -50,8 +51,9 @@ class CostParameterization:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if self.input_mode == "raw":
             feats = np.concatenate([X, Y], axis=1)
-        elif self.input_mode == "absdiff":
-            feats = np.abs(X - Y)
+        elif X.shape[1] != Y.shape[1]:
+            raise DimMismatch(f"{self.input_mode} needs x and y of one width, "
+                              f"not {X.shape[1]} and {Y.shape[1]}")
         else:
             feats = np.abs(X - self.scale * Y)
         if feats.shape[1] != self.net.input_dim:
@@ -138,14 +140,6 @@ def mc_integral_uniform(alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
     return _box_volume(box) * float(np.mean(np.exp(log_g)))
 
 
-def eval_cost_on_grid(cost: CostParameterization, grid_x, grid_y) -> np.ndarray:
-    """Evaluate the learned cost at a finite list of (x, y) points."""
-    grid_x = np.atleast_2d(np.asarray(grid_x, dtype=float))
-    if grid_x.shape[0] == 0:
-        raise BadBounds("grid must be nonempty")
-    return cost.evaluate(grid_x, grid_y)
-
-
 def train(samples: SampleSet, cost: CostParameterization,
           alpha_net: FeedForwardNet, beta_net: FeedForwardNet,
           config: TrainConfig,
@@ -153,10 +147,10 @@ def train(samples: SampleSet, cost: CostParameterization,
               FeedForwardNet, FeedForwardNet, CostParameterization, SolveReport]:
     """Minimize the sampled loss with Adam; deterministic per seed.
 
-    One Adam state steps the given nets' own parameter arrays in place.
+    One Adam state steps the given nets' own parameter vectors in place.
 
     ``regularizer``, when given, is R(c): it is called with the cost net and
-    must return (value, grads aligned with cost.net.parameters()). Training
+    must return (value, gradient shaped like cost.net.params). Training
     has no stopping rule, so the report always says converged. Its
     feasibility_residual is |I - 1|, with I the last epoch's mean of the
     collocation estimate of the integral of e^{alpha + beta - c}; I = 1
@@ -167,12 +161,15 @@ def train(samples: SampleSet, cost: CostParameterization,
     rng = np.random.default_rng(config.seed)
     d_x = alpha_net.input_dim
     box = list(config.domain_box)
+    d_xy = samples.xs.shape[1] + samples.ys.shape[1]
+    if len(box) != d_xy:
+        raise DimMismatch(f"domain box has {len(box)} coordinates, not d_x + d_y = {d_xy}")
     vol = _box_volume(box)
     n = samples.n_pairs
     batch = config.batch_size if config.batch_size > 0 else n
     steps_per_epoch = max(1, int(np.ceil(n / batch)))
 
-    params = alpha_net.parameters() + beta_net.parameters() + cost.net.parameters()
+    params = [alpha_net.params, beta_net.params, cost.net.params]
     state = AdamState.zeros_like(params)
     epoch_losses = []
     t0 = time.perf_counter()
@@ -193,9 +190,9 @@ def train(samples: SampleSet, cost: CostParameterization,
             with np.errstate(over="ignore"):
                 g_vals = np.exp(a[k:] + b[k:] - c[k:])
             integral = vol * float(np.mean(g_vals))
-            reg_value, reg_grads = 0.0, None
+            reg_value, reg_grad = 0.0, None
             if regularizer is not None:
-                reg_value, reg_grads = regularizer(cost.net)
+                reg_value, reg_grad = regularizer(cost.net)
             loss = (reg_value - float(np.mean(a[:k])) - float(np.mean(b[:k]))
                     + float(np.mean(c[:k])) + integral)
             if not np.isfinite(loss) or abs(loss) > _DIVERGENCE_CAP:
@@ -207,12 +204,11 @@ def train(samples: SampleSet, cost: CostParameterization,
             # for alpha and beta, the negation of both for the cost
             w = np.concatenate([np.full(k, -1.0 / k),
                                 (vol / config.n_collocation) * g_vals])
-            cost_grads = cost.net.backward_batch(cache_c, -w)
-            if reg_grads is not None:
-                for g, r in zip(cost_grads, reg_grads):
-                    g += r
-            adam_step(params, alpha_net.backward_batch(cache_a, w)
-                      + beta_net.backward_batch(cache_b, w) + cost_grads,
+            cost_grad = cost.net.backward_batch(cache_c, -w)
+            if reg_grad is not None:
+                cost_grad += reg_grad
+            adam_step(params, [alpha_net.backward_batch(cache_a, w),
+                               beta_net.backward_batch(cache_b, w), cost_grad],
                       state, lr=config.learning_rate)
         epoch_losses.append(float(np.mean(losses)))
 

@@ -8,6 +8,8 @@ probability vector is a matrix with cols = 1; pairs have the header
 and then y. ``report.json`` is strict JSON, with null for non-finite numbers.
 JSON artifacts hold ``vars()`` of the report and configs, so each dataclass is
 the only list of its fields; a checkpoint's train config must match it exactly.
+A checkpoint holds each net's parameter vector as is (`FeedForwardNet.params`,
+whose layout `nets` owns) and reads it back through the net's own checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .continuous import CostParameterization, SampleSet, TrainConfig
-from .errors import ParseError, ShapeHeaderMismatch
+from .errors import DimMismatch, ParseError, ShapeHeaderMismatch
 from .nets import FeedForwardNet
 from .types import ProbabilityVector, as_matrix
 
@@ -104,15 +106,14 @@ def read_pairs_csv(path) -> SampleSet:
 
 def write_checkpoint(path, cost: CostParameterization, config: TrainConfig,
                      alpha_net: FeedForwardNet, beta_net: FeedForwardNet) -> None:
-    """Self-describing JSON checkpoint: dims, activation tags, flattened
-    parameters (row-major weights then biases, layer order) of the three
-    nets, and the train config as ``vars(config)``."""
+    """Self-describing JSON checkpoint: dims, activation tags and parameter
+    vectors of the three nets, and the train config as ``vars(config)``."""
 
     def net_blob(net):
         return {
             "layer_dims": list(net.layer_dims),
             "output_activation": net.output_activation,
-            "params": [(_FMT % x) for p in net.parameters() for x in p.ravel()],
+            "params": [(_FMT % x) for x in net.params],
         }
 
     blob = {
@@ -128,18 +129,11 @@ def write_checkpoint(path, cost: CostParameterization, config: TrainConfig,
 
 
 def _net_from_blob(blob) -> FeedForwardNet:
-    dims = blob["layer_dims"]
-    flat = np.array([float(x) for x in blob["params"]])
-    if flat.size != sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:])):  # weights, biases
-        raise ShapeHeaderMismatch("checkpoint parameter count does not match dims")
-    weights, biases, pos = [], [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in))
-        pos += fan_out * fan_in
-        biases.append(flat[pos:pos + fan_out])
-        pos += fan_out
-    return FeedForwardNet(layer_dims=dims, weights=weights, biases=biases,
-                          output_activation=blob["output_activation"])
+    try:
+        return FeedForwardNet(blob["layer_dims"], [float(x) for x in blob["params"]],
+                              blob["output_activation"])
+    except DimMismatch as exc:  # e.g. a parameter count that the dims do not fit
+        raise ShapeHeaderMismatch(f"checkpoint {exc}") from exc
 
 
 def read_checkpoint(path):

@@ -1,8 +1,12 @@
 """Small fully-connected networks with manual forward/backward passes.
 
-Hidden layers use tanh; the output layer is a single unit with a relu,
-identity, or softplus activation. The relu subgradient at 0 is 0. Gradients
-are computed by reverse-mode accumulation over the cached hidden activations
+A net holds all of its parameters in one float vector: per layer, the
+row-major weights and then the biases, a checkpoint's order. Its weights and
+biases are views into that vector, and `backward_batch` returns its gradient
+in the same layout, so Adam steps one vector per net. Hidden layers use tanh;
+the output layer is a single unit with a relu, identity, or softplus
+activation. The relu subgradient at 0 is 0. Gradients are computed by
+reverse-mode accumulation over the cached hidden activations
 (tanh' = 1 - tanh^2) and the output pre-activation, which keeps training free
 of any autodiff dependency and bitwise deterministic.
 """
@@ -36,13 +40,23 @@ def _out_act_grad(z, kind):
     return 1.0 / (1.0 + np.exp(-z))  # softplus
 
 
+def _layer_views(dims, flat):
+    """Per-layer views (weights, biases) into flat: row-major weights, then biases."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(flat[pos:pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
 @dataclass
 class FeedForwardNet:
     """tanh MLP with scalar output; layer_dims = [d_in, h1, ..., hk, 1]."""
 
     layer_dims: Sequence[int]
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
+    params: np.ndarray  # every parameter; weights and biases are views into it
     output_activation: str = "identity"
 
     def __post_init__(self):
@@ -51,19 +65,18 @@ class FeedForwardNet:
             raise DimMismatch(f"bad layer dims {dims}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise DimMismatch(f"unknown output activation {self.output_activation!r}")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
-                raise DimMismatch(f"layer {k} parameter shapes do not match dims")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise DimMismatch(f"layer {k} parameters are not finite")
+        self.params = np.ascontiguousarray(self.params, dtype=float)
+        count = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
+        if self.params.shape != (count,):
+            raise DimMismatch(f"parameter count {self.params.size} does not match "
+                              f"dims {dims}, which need {count}")
+        if not np.all(np.isfinite(self.params)):
+            raise DimMismatch("parameters are not finite")
+        self.weights, self.biases = _layer_views(dims, self.params)
 
     @property
     def input_dim(self) -> int:
         return int(self.layer_dims[0])
-
-    def parameters(self) -> List[np.ndarray]:
-        """[w_0, b_0, w_1, b_1, ...], the order of every gradient list."""
-        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def forward_batch(self, X: np.ndarray):
         """Outputs and caches for a batch; X has shape (N, d_in)."""
@@ -80,20 +93,20 @@ class FeedForwardNet:
                 acts.append(np.tanh(z, out=z))
         return _out_act(z, self.output_activation)[:, 0], (acts, z)
 
-    def backward_batch(self, cache, out_weights: np.ndarray) -> List[np.ndarray]:
-        """Gradients of sum_k out_weights[k] * output_k w.r.t. parameters."""
+    def backward_batch(self, cache, out_weights: np.ndarray) -> np.ndarray:
+        """Gradient of sum_k out_weights[k] * output_k, laid out like params."""
         acts, z = cache
-        last = len(self.weights) - 1
         delta = (np.asarray(out_weights, dtype=float)[:, None]
                  * _out_act_grad(z, self.output_activation))
-        grads: List[np.ndarray] = [None] * (2 * len(self.weights))
-        for k in range(last, -1, -1):
-            grads[2 * k] = delta.T @ acts[k]
-            grads[2 * k + 1] = delta.sum(axis=0)
+        grad = np.empty_like(self.params)
+        grad_w, grad_b = _layer_views(self.layer_dims, grad)
+        for k in range(len(self.weights) - 1, -1, -1):
+            np.matmul(delta.T, acts[k], out=grad_w[k])
+            delta.sum(axis=0, out=grad_b[k])
             if k > 0:
                 delta = delta @ self.weights[k]
                 delta *= 1.0 - acts[k] ** 2
-        return grads
+        return grad
 
 
 def net_forward(net: FeedForwardNet, x) -> float:
@@ -102,8 +115,8 @@ def net_forward(net: FeedForwardNet, x) -> float:
     return float(out[0])
 
 
-def net_gradient(net: FeedForwardNet, x) -> List[np.ndarray]:
-    """Gradients of the scalar output with respect to every parameter."""
+def net_gradient(net: FeedForwardNet, x) -> np.ndarray:
+    """Gradient of the scalar output, laid out like net.params."""
     _, cache = net.forward_batch(np.atleast_2d(np.asarray(x, dtype=float)))
     return net.backward_batch(cache, np.ones(1))
 
@@ -113,14 +126,11 @@ def xavier_init(layer_dims: Sequence[int], output_activation: str = "identity",
     """Uniform(+-sqrt(6/(fan_in + fan_out))) weights, zero biases."""
     rng = np.random.default_rng(seed)
     dims = list(layer_dims)
-    weights = []
-    biases = []
+    parts = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return FeedForwardNet(layer_dims=dims, weights=weights, biases=biases,
-                          output_activation=output_activation)
+        parts += [rng.uniform(-bound, bound, size=fan_out * fan_in), np.zeros(fan_out)]
+    return FeedForwardNet(dims, np.concatenate(parts), output_activation)
 
 
 @dataclass

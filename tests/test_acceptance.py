@@ -282,6 +282,11 @@ def test_criterion_08_bcd_guarantees(capsys):
     verdict(capsys, 8, ok, detail)
 
 
+def _layer_views(net):
+    """[w_0, b_0, w_1, b_1, ...]: views into net.params, layer by layer."""
+    return [p for wb in zip(net.weights, net.biases) for p in wb]
+
+
 def _gradient_check_worst(rng):
     worst = 0.0
     h = 1e-5
@@ -290,19 +295,16 @@ def _gradient_check_worst(rng):
         act = str(rng.choice(["relu", "identity", "softplus"]))
         net = xavier_init(dims, act, seed=900 + trial)
         x = rng.normal(size=dims[0])
-        grads = net_gradient(net, x)
-        params = net.parameters()
+        # the gradient as a net of the same dims, for its per-layer views
+        grads = _layer_views(FeedForwardNet(dims, net_gradient(net, x), act))
+        params = _layer_views(net)
         for k in rng.choice(len(params), size=3, replace=False):
             idx = np.unravel_index(int(rng.integers(params[k].size)),
                                    params[k].shape)
 
             def value(delta):
-                bumped = [p.copy() for p in params]
-                bumped[k][idx] += delta
-                probe = FeedForwardNet(layer_dims=dims,
-                                       weights=bumped[0::2],
-                                       biases=bumped[1::2],
-                                       output_activation=act)
+                probe = FeedForwardNet(dims, net.params.copy(), act)
+                _layer_views(probe)[k][idx] += delta
                 return net_forward(probe, x)
 
             fd = (value(h) - value(-h)) / (2 * h)

@@ -488,6 +488,22 @@ class TestTrainContinuousCommand:
         assert code == 1
         assert not (tmp_path / "t" / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["--input-mode", "raw"], "domain box has 2 coordinates, not d_x + d_y = 3"),
+        # |x - y| of a 2-d x and a 1-d y would broadcast y over both coordinates
+        (["--box", "0:1,0:1,0:1", "--seed", "3"],
+         "absdiff needs x and y of one width, not 2 and 1")])
+    def test_2d_x_and_1d_y_refused(self, tmp_path, capsys, args, message):
+        rng = np.random.default_rng(3)
+        write_pairs_csv(tmp_path / "pairs.csv",
+                        SampleSet(xs=rng.uniform(size=(20, 2)),
+                                  ys=rng.uniform(size=(20, 1))))
+        code = main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
+                     *args, "--epochs", "1", "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t" / "checkpoint.json").exists()
+
     def test_report_names_seed_and_rng_once(self, tmp_path, capsys):
         self.write_random_pairs(tmp_path)
         assert main(["train-continuous", "--pairs", str(tmp_path / "pairs.csv"),
@@ -516,6 +532,17 @@ class TestEvalCommand:
         # (the suite turns RuntimeWarnings into errors)
         write_matrix_csv(tmp_path / "a.csv", np.ones((4, 4)))
         write_matrix_csv(tmp_path / "b.csv", rng.uniform(0, 1, size=(4, 4)))
+        assert main(["eval", "--cost", str(tmp_path / "a.csv"),
+                     "--truth", str(tmp_path / "b.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert "pearson_correlation nan" in out and err == ""
+
+
+    def test_single_entry_cost_has_no_correlation(self, tmp_path, capsys):
+        # one entry has no spread: nan, without np.corrcoef's degrees-of-freedom
+        # warning (the suite turns RuntimeWarnings into errors)
+        write_matrix_csv(tmp_path / "a.csv", np.array([[0.5]]))
+        write_matrix_csv(tmp_path / "b.csv", np.array([[2.0]]))
         assert main(["eval", "--cost", str(tmp_path / "a.csv"),
                      "--truth", str(tmp_path / "b.csv")]) == 0
         out, err = capsys.readouterr()

@@ -6,7 +6,6 @@ from invot import (
     FeedForwardNet,
     SampleSet,
     TrainConfig,
-    eval_cost_on_grid,
     mc_integral_uniform,
     net_forward,
     train,
@@ -42,8 +41,7 @@ UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
 
 def zero_net(dims, activation="identity"):
     net = xavier_init(dims, activation, seed=0)
-    for p in net.parameters():
-        p[...] = 0.0
+    net.params[...] = 0.0
     return net
 
 
@@ -86,7 +84,7 @@ class TestUniformEstimator:
 class TestGridEval:
     def test_zero_net(self, rng):
         cost = CostParameterization("absdiff", zero_net([1, 4, 1], "relu"))
-        out = eval_cost_on_grid(cost, rng.random((20, 1)), rng.random((20, 1)))
+        out = cost.evaluate(rng.random((20, 1)), rng.random((20, 1)))
         assert np.array_equal(out, np.zeros(20))
 
     def test_absdiff_symmetry_exact(self, rng):
@@ -101,7 +99,7 @@ class TestGridEval:
             "raw", xavier_init([2, 8, 1], "relu", seed=5))
         X = rng.random((15, 1))
         Y = rng.random((15, 1))
-        out = eval_cost_on_grid(cost, X, Y)
+        out = cost.evaluate(X, Y)
         for k in range(15):
             assert out[k] == pytest.approx(
                 net_forward(cost.net, np.concatenate([X[k], Y[k]])),
@@ -110,8 +108,7 @@ class TestGridEval:
     def test_relu_output_nonnegative(self, rng):
         cost = CostParameterization(
             "absdiff", xavier_init([1, 20, 20, 20, 1], "relu", seed=6))
-        out = eval_cost_on_grid(cost, rng.random((200, 1)),
-                                rng.random((200, 1)))
+        out = cost.evaluate(rng.random((200, 1)), rng.random((200, 1)))
         assert np.all(out >= 0)
 
 
@@ -129,13 +126,9 @@ class TestLossGradients:
         col_y = rng.random((8, 1))
 
         def nets_from(params):
-            cut = [5, 10]
-            mk = lambda dims, ps, act: FeedForwardNet(
-                layer_dims=dims, weights=list(ps[0::2]),
-                biases=list(ps[1::2]), output_activation=act)
-            return (mk([1, 5, 1], params[0], "identity"),
-                    mk([1, 5, 1], params[1], "identity"),
-                    mk([1, 5, 1], params[2], "relu"))
+            return (FeedForwardNet([1, 5, 1], params[0], "identity"),
+                    FeedForwardNet([1, 5, 1], params[1], "identity"),
+                    FeedForwardNet([1, 5, 1], params[2], "relu"))
 
         def loss(params):
             a, b, c = nets_from(params)
@@ -149,9 +142,7 @@ class TestLossGradients:
             return (-float(np.mean(av)) - float(np.mean(bv))
                     + float(np.mean(cv)) + integral)
 
-        params = [[p.copy() for p in alpha.parameters()],
-                  [p.copy() for p in beta.parameters()],
-                  [p.copy() for p in cnet.parameters()]]
+        params = [alpha.params.copy(), beta.params.copy(), cnet.params.copy()]
         a, b, c = nets_from(params)
         av, cache_a = a.forward_batch(xb)
         bv, cache_b = b.forward_batch(yb)
@@ -162,24 +153,19 @@ class TestLossGradients:
         g_vals = np.exp(ac + bc - cc)
         w_col = g_vals / 8.0
         grads = [
-            [x + y for x, y in zip(a.backward_batch(cache_a, -np.ones(6) / 6),
-                                   a.backward_batch(cache_ac, w_col))],
-            [x + y for x, y in zip(b.backward_batch(cache_b, -np.ones(6) / 6),
-                                   b.backward_batch(cache_bc, w_col))],
-            [x + y for x, y in zip(c.backward_batch(cache_c, np.ones(6) / 6),
-                                   c.backward_batch(cache_cc, -w_col))],
+            a.backward_batch(cache_a, -np.ones(6) / 6) + a.backward_batch(cache_ac, w_col),
+            b.backward_batch(cache_b, -np.ones(6) / 6) + b.backward_batch(cache_bc, w_col),
+            c.backward_batch(cache_c, np.ones(6) / 6) + c.backward_batch(cache_cc, -w_col),
         ]
         h = 1e-5
         for ni in range(3):
-            for pi in range(len(params[ni])):
-                flat = rng.integers(params[ni][pi].size)
-                idx = np.unravel_index(flat, params[ni][pi].shape)
-                up = [[p.copy() for p in group] for group in params]
-                dn = [[p.copy() for p in group] for group in params]
-                up[ni][pi][idx] += h
-                dn[ni][pi][idx] -= h
+            for j in range(params[ni].size):  # every weight and bias of each net
+                up = [p.copy() for p in params]
+                dn = [p.copy() for p in params]
+                up[ni][j] += h
+                dn[ni][j] -= h
                 fd = (loss(up) - loss(dn)) / (2 * h)
-                an = grads[ni][pi][idx]
+                an = grads[ni][j]
                 if abs(an) < 1e-8:
                     assert abs(fd - an) <= 1e-8
                 else:
@@ -254,14 +240,13 @@ class TestTrain:
         # exactly 0, so Adam never moves it, and the report says so
         samples = quadratic_task(n_pairs=400)
         cost, alpha, beta = small_nets(seed=seed)
-        before = [p.copy() for p in cost.net.parameters()]
+        before = cost.net.params.copy()
         config = TrainConfig(batch_size=100, n_collocation=100, epochs=3, seed=0,
                              domain_box=UNIT_BOX)
         report = train(samples, cost, alpha, beta, config)[3]
         assert report.extras["cost_net_dead"] is dead
         assert report.converged
-        unchanged = all(np.array_equal(p, q) for p, q in zip(before, cost.net.parameters()))
-        assert unchanged is dead
+        assert np.array_equal(before, cost.net.params) is dead
 
     def test_divergence_is_loud(self):
         samples = quadratic_task(n_pairs=200)
@@ -284,7 +269,7 @@ def six_pass_train(samples, cost, alpha, beta, config):
     n = samples.n_pairs
     batch = config.batch_size if config.batch_size > 0 else n
     nets = (alpha, beta, cost.net)
-    states = [AdamState.zeros_like(net.parameters()) for net in nets]
+    states = [AdamState.zeros_like([net.params]) for net in nets]
     epoch_losses = []
     for _ in range(config.epochs):
         losses = []
@@ -305,22 +290,19 @@ def six_pass_train(samples, cost, alpha, beta, config):
             w_col = (vol / config.n_collocation) * g_vals
             pair = np.ones(len(pi)) / len(pi)
             grads = [
-                [g + h for g, h in zip(alpha.backward_batch(ca, -pair),
-                                       alpha.backward_batch(ca2, w_col))],
-                [g + h for g, h in zip(beta.backward_batch(cb, -pair),
-                                       beta.backward_batch(cb2, w_col))],
-                [g + h for g, h in zip(cost.net.backward_batch(cc, pair),
-                                       cost.net.backward_batch(cc2, -w_col))],
+                alpha.backward_batch(ca, -pair) + alpha.backward_batch(ca2, w_col),
+                beta.backward_batch(cb, -pair) + beta.backward_batch(cb2, w_col),
+                cost.net.backward_batch(cc, pair) + cost.net.backward_batch(cc2, -w_col),
             ]
             for net, g, state in zip(nets, grads, states):
-                adam_step(net.parameters(), g, state, lr=config.learning_rate)
+                adam_step([net.params], [g], state, lr=config.learning_rate)
         epoch_losses.append(np.mean(losses))
     return np.asarray(epoch_losses)
 
 
 def parameters(nets):
     cost, alpha, beta = nets
-    return cost.net.parameters() + alpha.parameters() + beta.parameters()
+    return [cost.net.params, alpha.params, beta.params]
 
 
 class TestTrainStep:
@@ -394,7 +376,7 @@ class TestTrainStep:
         base = train(samples, *plain, self.config)[3].objective_trace
 
         def constant(net):
-            return 0.3, [np.zeros_like(p) for p in net.parameters()]
+            return 0.3, np.zeros_like(net.params)
 
         got = train(samples, *shifted, self.config,
                     regularizer=constant)[3].objective_trace
@@ -410,9 +392,7 @@ class TestTrainStep:
         reg = small_nets(seed=3)
 
         def l2(net):
-            params = net.parameters()
-            return (0.5 * sum(float(np.sum(p * p)) for p in params),
-                    [p.copy() for p in params])
+            return 0.5 * float(net.params @ net.params), net.params.copy()
 
         plain_loss = train(samples, *plain, one_step)[3].objective_trace
         reg_loss = train(samples, *reg, one_step, regularizer=l2)[3].objective_trace
@@ -420,10 +400,8 @@ class TestTrainStep:
         cost_plain, alpha_plain, beta_plain = plain
         cost_reg, alpha_reg, beta_reg = reg
         for a, b in ((alpha_plain, alpha_reg), (beta_plain, beta_reg)):
-            for p, q in zip(a.parameters(), b.parameters()):
-                assert np.array_equal(p, q)
-        assert not all(np.array_equal(p, q) for p, q in zip(
-            cost_plain.net.parameters(), cost_reg.net.parameters()))
+            assert np.array_equal(a.params, b.params)
+        assert not np.array_equal(cost_plain.net.params, cost_reg.net.params)
 
 
 class TestTrainConfig:
@@ -463,8 +441,14 @@ class TestCostParameterization:
                  DimMismatch, "finite", id="non-finite-samples"),
     pytest.param(lambda: mc_integral_uniform(ZERO_1D, ZERO_1D, ZERO_COST, UNIT_BOX, n_s=0),
                  BadBounds, "n_s", id="no-draws"),
-    pytest.param(lambda: eval_cost_on_grid(ZERO_COST, np.zeros((0, 1)), np.zeros((0, 1))),
-                 BadBounds, "grid must be nonempty", id="empty-grid")])
+    pytest.param(lambda: CostParameterization("absdiff", xavier_init([2, 1])).features(
+        np.zeros((2, 2)), np.zeros((2, 1))), DimMismatch, "x and y of one width, not 2 and 1",
+        id="diff-widths"),
+    pytest.param(lambda: train(SampleSet(xs=np.zeros((4, 2)), ys=np.zeros((4, 1))),
+                               CostParameterization("raw", xavier_init([3, 1])),
+                               xavier_init([2, 1]), xavier_init([1, 1]), TrainConfig(epochs=1)),
+                 DimMismatch, r"domain box has 2 coordinates, not d_x \+ d_y = 3",
+                 id="box-dims")])
 def test_bad_inputs_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -146,16 +146,12 @@ class TestCheckpoint:
             read_checkpoint(path)
 
 
-def tiny_net(dims, activation, weights, biases):
-    return FeedForwardNet(dims, [np.array(w, dtype=float) for w in weights],
-                          [np.array(b, dtype=float) for b in biases], activation)
-
-
 def write_tiny_checkpoint(path):
-    cost = CostParameterization("absdiff", tiny_net(
-        [1, 2, 1], "relu", [[[0.5], [-0.25]], [[1.0, 0.1]]], [[0.0, 1.5], [-2.0]]))
-    alpha = tiny_net([1, 1], "identity", [[[3.0]]], [[0.2]])
-    beta = tiny_net([1, 1], "identity", [[[-1.0]]], [[1e-300]])
+    # per layer, the row-major weights and then the biases
+    cost = CostParameterization("absdiff", FeedForwardNet(
+        [1, 2, 1], [0.5, -0.25, 0.0, 1.5, 1.0, 0.1, -2.0], "relu"))
+    alpha = FeedForwardNet([1, 1], [3.0, 0.2], "identity")
+    beta = FeedForwardNet([1, 1], [-1.0, 1e-300], "identity")
     write_checkpoint(path, cost, TrainConfig(epochs=3, seed=7), alpha, beta)
 
 
@@ -229,7 +225,8 @@ class TestCheckpointFormat:
         assert path.read_text() == GOLDEN_CHECKPOINT
         cost, config, alpha, beta = read_checkpoint(path)
         assert config == TrainConfig(epochs=3, seed=7)
-        assert alpha.parameters()[1][0] == 0.2 and beta.parameters()[1][0] == 1e-300
+        assert alpha.params.tolist() == [3.0, 0.2] and beta.params.tolist() == [-1.0, 1e-300]
+        assert cost.net.weights[1].tolist() == [[1.0, 0.1]] and cost.net.biases[0][1] == 1.5
 
     @pytest.mark.parametrize("change", ["missing_seed", "extra_key", "missing_alpha",
                                         "retired_fields"])
@@ -269,6 +266,19 @@ class TestCheckpointFormat:
         blob[net]["params"] = params + ["0"] * extra if extra > 0 else params[:extra]
         path.write_text(json.dumps(blob))
         with pytest.raises(ShapeHeaderMismatch, match="parameter count"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("params", ["nan", "0.2"], "not finite"),
+        ("output_activation", "sigmoid", "unknown output activation")])
+    def test_net_the_constructor_refuses_is_a_header_mismatch(self, tmp_path, key, value,
+                                                               message):
+        path = tmp_path / "ckpt.json"
+        write_tiny_checkpoint(path)
+        blob = json.loads(path.read_text())
+        blob["alpha"][key] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ShapeHeaderMismatch, match=message):
             read_checkpoint(path)
 
 

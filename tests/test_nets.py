@@ -14,16 +14,14 @@ from invot.errors import DimMismatch
 
 def linear_net(w, b, activation="identity"):
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    return FeedForwardNet(layer_dims=[w.shape[1], 1], weights=[w],
-                          biases=[np.array([float(b)])],
+    return FeedForwardNet(layer_dims=[w.shape[1], 1], params=np.append(w, b),
                           output_activation=activation)
 
 
 class TestForward:
     def test_zero_relu_net_is_zero(self, rng):
         net = xavier_init([3, 4, 1], "relu", seed=0)
-        for p in net.parameters():
-            p[...] = 0.0
+        net.params[...] = 0.0
         for _ in range(5):
             assert net_forward(net, rng.normal(size=3)) == 0.0
 
@@ -49,9 +47,7 @@ class TestForward:
 class TestGradient:
     def test_linear_net_gradients(self):
         net = linear_net([0.0, 0.0], 0.0)
-        grads = net_gradient(net, [3.0, -2.0])
-        assert np.array_equal(grads[0], np.array([[3.0, -2.0]]))
-        assert np.array_equal(grads[1], np.array([1.0]))
+        assert np.array_equal(net_gradient(net, [3.0, -2.0]), [3.0, -2.0, 1.0])
 
     @pytest.mark.parametrize("activation", ["identity", "relu", "softplus"])
     def test_finite_difference_agreement(self, activation, rng):
@@ -62,22 +58,16 @@ class TestGradient:
             net = xavier_init([2, 20, 20, 20, 1], activation, seed=100 + trial)
             x = rng.normal(size=2)
             grads = net_gradient(net, x)
-            params = net.parameters()
-            for k in rng.choice(len(params), size=4, replace=False):
-                flat_idx = rng.integers(params[k].size)
-                idx = np.unravel_index(flat_idx, params[k].shape)
+            assert grads.shape == net.params.shape
+            for j in rng.choice(net.params.size, size=4, replace=False):
 
                 def perturbed(delta):
-                    plus = [p.copy() for p in params]
-                    plus[k][idx] += delta
-                    probe = FeedForwardNet(
-                        layer_dims=net.layer_dims,
-                        weights=plus[0::2], biases=plus[1::2],
-                        output_activation=activation)
-                    return net_forward(probe, x)
+                    plus = net.params.copy()
+                    plus[j] += delta
+                    return net_forward(FeedForwardNet(net.layer_dims, plus, activation), x)
 
                 fd = (perturbed(h) - perturbed(-h)) / (2 * h)
-                an = grads[k][idx]
+                an = grads[j]
                 if abs(an) < 1e-8:
                     assert abs(fd - an) <= 1e-8
                 else:
@@ -85,9 +75,7 @@ class TestGradient:
 
     def test_relu_subgradient_zero_at_kink(self):
         net = linear_net([1.0], 0.0, activation="relu")
-        grads = net_gradient(net, [0.0])
-        assert np.array_equal(grads[0], np.array([[0.0]]))
-        assert np.array_equal(grads[1], np.array([0.0]))
+        assert np.array_equal(net_gradient(net, [0.0]), [0.0, 0.0])
 
     def test_batch_gradient_is_weighted_sum(self, rng):
         net = xavier_init([2, 6, 1], "identity", seed=5)
@@ -95,31 +83,27 @@ class TestGradient:
         w = rng.normal(size=4)
         _, cache = net.forward_batch(X)
         batched = net.backward_batch(cache, w)
-        manual = [np.zeros_like(p) for p in net.parameters()]
-        for i in range(4):
-            for k, g in enumerate(net_gradient(net, X[i])):
-                manual[k] += w[i] * g
-        for got, expect in zip(batched, manual):
-            assert np.allclose(got, expect, atol=1e-12)
+        manual = sum(w[i] * net_gradient(net, X[i]) for i in range(4))
+        assert np.allclose(batched, manual, atol=1e-12)
 
 
-@pytest.mark.parametrize("dims,weights,biases,activation,message", [
-    pytest.param([1], [], [], "identity", "bad layer dims", id="one-layer"),
-    pytest.param([1, 2], [np.zeros((2, 1))], [np.zeros(2)], "identity", "bad layer dims",
-                 id="two-outputs"),
-    pytest.param([0, 1], [np.zeros((1, 0))], [np.zeros(1)], "identity", "bad layer dims",
-                 id="empty-input"),
-    pytest.param([1, 1], [np.zeros((1, 1))], [np.zeros(1)], "sigmoid",
-                 "unknown output activation", id="activation"),
-    pytest.param([2, 1], [np.zeros((1, 1))], [np.zeros(1)], "identity",
-                 "parameter shapes", id="weight-shape"),
-    pytest.param([1, 1], [np.zeros((1, 1))], [np.zeros(2)], "identity",
-                 "parameter shapes", id="bias-shape"),
-    pytest.param([1, 1], [np.full((1, 1), np.nan)], [np.zeros(1)], "identity",
-                 "not finite", id="non-finite")])
-def test_bad_net_refused(dims, weights, biases, activation, message):
+@pytest.mark.parametrize("dims,params,activation,message", [
+    pytest.param([1], [], "identity", "bad layer dims", id="one-layer"),
+    pytest.param([1, 2], np.zeros(4), "identity", "bad layer dims", id="two-outputs"),
+    pytest.param([0, 1], np.zeros(1), "identity", "bad layer dims", id="empty-input"),
+    pytest.param([1, 1], np.zeros(2), "sigmoid", "unknown output activation",
+                 id="activation"),
+    # [2, 1] needs two weights and a bias; [1, 1] one weight and one bias
+    pytest.param([2, 1], np.zeros(2), "identity", "parameter count 2 does not match",
+                 id="weight-shape"),
+    pytest.param([1, 1], np.zeros(3), "identity", "parameter count 3 does not match",
+                 id="bias-shape"),
+    pytest.param([1, 1], np.zeros((1, 2)), "identity", "parameter count",
+                 id="not-a-vector"),
+    pytest.param([1, 1], [np.nan, 0.0], "identity", "not finite", id="non-finite")])
+def test_bad_net_refused(dims, params, activation, message):
     with pytest.raises(DimMismatch, match=message):
-        FeedForwardNet(dims, weights, biases, activation)
+        FeedForwardNet(dims, params, activation)
 
 
 def test_wrong_input_dim_refused():
@@ -135,8 +119,18 @@ class TestXavierInit:
     def test_seed_determinism(self):
         a = xavier_init([4, 20, 20, 1], "relu", seed=77)
         b = xavier_init([4, 20, 20, 1], "relu", seed=77)
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.params, b.params)
+
+    def test_draws_fill_the_parameter_vector_in_layer_order(self):
+        # one uniform draw per layer's (fan_out, fan_in) weights, in layer
+        # order; each layer's zero biases follow its weights in the vector
+        rng = np.random.default_rng(4)
+        w0 = rng.uniform(-np.sqrt(6.0 / 5), np.sqrt(6.0 / 5), size=(3, 2))
+        w1 = rng.uniform(-np.sqrt(6.0 / 4), np.sqrt(6.0 / 4), size=(1, 3))
+        net = xavier_init([2, 3, 1], seed=4)
+        assert np.array_equal(net.params, np.concatenate(
+            [w0.ravel(), np.zeros(3), w1.ravel(), np.zeros(1)]))
+        assert np.array_equal(net.weights[0], w0) and np.array_equal(net.weights[1], w1)
 
     def test_biases_zero(self):
         net = xavier_init([4, 8, 1], seed=3)
@@ -188,16 +182,24 @@ class TestAdam:
         # over the concatenated parameter lists gives the same bits
         joint = [xavier_init([2, 5, 1], seed=1), xavier_init([3, 4, 1], seed=2)]
         apart = [xavier_init([2, 5, 1], seed=1), xavier_init([3, 4, 1], seed=2)]
-        joint_params = joint[0].parameters() + joint[1].parameters()
+        joint_params = [net.params for net in joint]
         joint_state = AdamState.zeros_like(joint_params)
-        apart_states = [AdamState.zeros_like(net.parameters()) for net in apart]
-        k = len(apart[0].parameters())
+        apart_states = [AdamState.zeros_like([net.params]) for net in apart]
         for _ in range(3):
             grads = [rng.normal(size=p.shape) for p in joint_params]
             adam_step(joint_params, grads, joint_state, lr=1e-2)
-            for net, g, state in zip(apart, (grads[:k], grads[k:]), apart_states):
-                adam_step(net.parameters(), g, state, lr=1e-2)
+            for net, g, state in zip(apart, grads, apart_states):
+                adam_step([net.params], [g], state, lr=1e-2)
         for a, b in zip(joint, apart):
-            for p, q in zip(a.parameters(), b.parameters()):
-                assert np.array_equal(p, q)
-        assert not np.array_equal(joint_params[0], xavier_init([2, 5, 1], seed=1).weights[0])
+            assert np.array_equal(a.params, b.params)
+        assert not np.array_equal(joint[0].params, xavier_init([2, 5, 1], seed=1).params)
+
+    def test_step_on_the_vector_moves_every_weight_and_bias_view(self, rng):
+        net = xavier_init([2, 3, 1], "identity", seed=6)
+        views = [p for wb in zip(net.weights, net.biases) for p in wb]
+        before = [v.copy() for v in views]
+        adam_step([net.params], [rng.normal(size=net.params.size)],
+                  AdamState.zeros_like([net.params]), lr=1e-2)
+        assert all(np.shares_memory(v, net.params) for v in views)
+        for view, old in zip(views, before):
+            assert np.all(view != old)  # Adam's first step moves every entry by lr

@@ -1,9 +1,9 @@
 """The benchmark (perfbench/) reaches `invot` names by string and by attribute.
 
-A renamed or deleted name, or a forward ``mode`` spelling that
-`sinkhorn_solve` no longer accepts, would only show when a benchmark run
-fails; these tests make it fail here instead. They read perfbench/ and
-change nothing.
+A renamed or deleted name, or a forward ``mode`` or cost input-mode spelling
+that `sinkhorn_solve` or `CostParameterization` no longer accepts, would only
+show when a benchmark run fails; these tests make it fail here instead. They
+read perfbench/ and change nothing.
 """
 
 import ast
@@ -80,3 +80,28 @@ def test_forward_mode_accepted(mode):
     result = invot.sinkhorn_solve(rng.uniform(size=(3, 3)), mu, nu,
                                   invot.SolverConfig(epsilon=0.5, tol=1e-10), mode=mode)
     assert result.report.converged
+
+
+def _cost_input_modes():
+    """Every string passed to iv.CostParameterization in workloads.py as its
+    first argument or as ``input_mode``."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "CostParameterization"):
+            found |= set(node.args[:1])
+            found |= {k.value for k in node.keywords if k.arg == "input_mode"}
+    return sorted({v.value for v in found
+                   if isinstance(v, ast.Constant) and isinstance(v.value, str)})
+
+
+def test_workloads_pass_cost_input_modes():
+    assert _cost_input_modes()  # the parse still finds the benchmark's input modes
+
+
+@pytest.mark.parametrize("mode", _cost_input_modes())
+def test_cost_input_mode_accepted(mode):
+    net = invot.xavier_init([2 if mode == "raw" else 1, 4, 1], "relu", seed=0)
+    cost = invot.CostParameterization(mode, net)
+    assert cost.evaluate(np.full((3, 1), 0.25), np.full((3, 1), 0.75)).shape == (3,)
